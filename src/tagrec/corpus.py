@@ -11,6 +11,7 @@ import logging
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from tagrec.errors import EmptyResourceError, InputError, ParseError, ResourceError
 
@@ -34,8 +35,9 @@ class Lexicon:
     def __len__(self) -> int:
         return len(self.words)
 
-    @property
+    @cached_property
     def max_word_length(self) -> int:
+        # Computed once per lexicon: the segmenter reads it for every hashtag.
         return max((len(w) for w in self.words), default=0)
 
 

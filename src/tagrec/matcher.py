@@ -2,17 +2,35 @@
 
 Two profiles are compared by greedy best-pair matching over their word
 sets: fill an n x m grid with word similarities, repeatedly take the
-global maximum, retire its row and column, and average the picked values
-over min(n, m) rounds.  The grid scan is the hot loop of the O(N^2)
-matrix build, so it lives in a compiled kernel with a numpy fallback
-selected at import time (set ``TAGREC_PURE_KERNEL=1`` to force the
-fallback).
+global maximum (the first in row-major order on ties), retire its row and
+column, and average the picked values over min(n, m) rounds.  The rows
+are the set whose sorted word tuple is smaller, so a score does not
+depend on argument order, bit for bit.
+
+Profiles that hold the same word set get the same scores, so the matrix
+build scores each distinct non-empty word set once, in numpy batches:
+
+1. Word table.  ``word_sim`` is called once for each unordered word pair
+   that meets in some grid, and for no other pair, in the calling
+   process.  The answers fill a float64 word x word table with one extra
+   sentinel row and column of -1.
+2. Greedy rounds.  A set's grids against a block of later sets (and
+   against itself, when two profiles hold it) are gathered from the table
+   as one ``(m, rows, cols)`` array, padded with the sentinel, and their
+   greedy rounds run together.  No such array is larger than
+   ``GRID_BYTES`` unless a single grid is.
+3. Gather.  The set x set scores are copied into the condensed profile
+   matrix one profile row at a time; empty profiles score 0.
+
+Besides the grids, the build holds the table, (V + 1)^2 float64 for V
+distinct profile words, and the set x set scores, (D + 1)^2 float32 for D
+distinct word sets.
 """
 
 from __future__ import annotations
 
 import logging
-import os
+from collections import Counter
 from multiprocessing import get_context
 
 import numpy as np
@@ -21,21 +39,7 @@ from tagrec.errors import InputError, UnknownIdError
 
 logger = logging.getLogger(__name__)
 
-if os.environ.get("TAGREC_PURE_KERNEL"):
-    from tagrec._greedy_pure import greedy_match as _greedy_match
-
-    KERNEL = "pure"
-else:
-    try:
-        from tagrec._greedy import greedy_match as _greedy_match
-
-        KERNEL = "native"
-    except ImportError:  # extension not built
-        from tagrec._greedy_pure import greedy_match as _greedy_match
-
-        KERNEL = "pure"
-
-PROGRESS_EVERY = 5000  # pairs between progress callbacks
+GRID_BYTES = 1 << 22  # largest batch of padded float64 grids
 
 
 def _word_tuple(profile_or_words) -> tuple[str, ...]:
@@ -43,13 +47,98 @@ def _word_tuple(profile_or_words) -> tuple[str, ...]:
     return tuple(sorted(set(words)))
 
 
-def _pair_score(rows: tuple[str, ...], cols: tuple[str, ...], word_sim) -> float:
-    sim = np.empty((len(rows), len(cols)), dtype=np.float64)
-    for i, u in enumerate(rows):
-        for j, v in enumerate(cols):
-            sim[i, j] = word_sim(u, v)
-    total, counter = _greedy_match(sim)
-    return total / counter
+def _match_batch(grids: np.ndarray, rounds: np.ndarray) -> np.ndarray:
+    """Greedy matching scores of a batch of padded grids, as float64.
+
+    ``grids`` has shape ``(m, n, w)``, padding cells at -1, and is
+    overwritten.  Grid g sums its picks over ``rounds[g]`` rounds, in round
+    order, and is divided by that count.
+    """
+    m, n, w = grids.shape
+    flat = grids.reshape(m, n * w)
+    g = np.arange(m)
+    total = np.zeros(m)
+    for r in range(int(rounds.max())):
+        pick = flat.argmax(axis=1)  # first maximum in row-major order
+        live = r < rounds
+        total[live] += flat[g[live], pick[live]]
+        i, j = np.divmod(pick, w)
+        grids[g, i] = -1.0
+        grids[g, :, j] = -1.0
+    return total / rounds
+
+
+def _word_table(vocab: list[str], padded: np.ndarray, lengths: np.ndarray, shared, word_sim) -> np.ndarray:
+    """Word similarities for every word pair that meets in a scored grid.
+
+    Set a meets the union of the sets after it, and itself when
+    ``shared[a]``.  Each such unordered pair is asked of ``word_sim``
+    once; every other cell, and the sentinel row and column at index V,
+    holds -1.
+    """
+    v = len(vocab)
+    need = np.zeros((v, v), dtype=bool)
+    later = np.zeros(v, dtype=bool)
+    for a in range(len(lengths) - 1, -1, -1):
+        rows = padded[a, : lengths[a]]
+        need[rows] |= later
+        if shared[a]:
+            need[np.ix_(rows, rows)] = True
+        later[rows] = True
+    need |= need.T
+    table = np.full((v + 1, v + 1), -1.0)
+    for i, wi in enumerate(vocab):
+        js = np.flatnonzero(need[i, i:]) + i
+        if js.size:
+            values = [word_sim(wi, vocab[j]) for j in js.tolist()]
+            table[i, js] = values
+            table[js, i] = values
+    return table
+
+
+class _SetScorer:
+    """Scores of distinct word sets against the sets after them.
+
+    ``sets`` are distinct non-empty sorted word tuples in ascending order,
+    so set a is the row side of every grid it is scored in.  Only sets
+    with ``shared[a]`` true are scored against themselves.  The word table
+    is filled on construction.
+    """
+
+    def __init__(self, sets: list[tuple[str, ...]], shared, word_sim):
+        vocab = sorted(set().union(*sets))
+        pos = {w: i for i, w in enumerate(vocab)}
+        self.shared = shared
+        self.lengths = np.array([len(s) for s in sets], dtype=np.intp)
+        # word indices of each set, padded with the sentinel index V
+        self.padded = np.full((len(sets), int(self.lengths.max())), len(vocab), dtype=np.intp)
+        for a, s in enumerate(sets):
+            self.padded[a, : len(s)] = [pos[w] for w in s]
+        self.table = _word_table(vocab, self.padded, self.lengths, shared, word_sim)
+
+    def columns(self, a: int) -> np.ndarray:
+        """The sets that set ``a`` is scored against, ascending."""
+        return np.arange(a if self.shared[a] else a + 1, len(self.lengths))
+
+    def row(self, a: int) -> np.ndarray:
+        """Float64 scores of set ``a`` against each of ``columns(a)``."""
+        cols = self.columns(a)
+        out = np.empty(cols.size)
+        if not cols.size:
+            return out
+        n = int(self.lengths[a])
+        rows = self.padded[a, :n, None]
+        step = max(1, GRID_BYTES // (8 * n * int(self.lengths[cols].max())))
+        for lo in range(0, cols.size, step):
+            block = cols[lo : lo + step]
+            width = int(self.lengths[block].max())
+            grids = self.table[rows, self.padded[block, None, :width]]
+            out[lo : lo + step] = _match_batch(grids, np.minimum(self.lengths[block], n))
+        return out
+
+    def rows(self, bounds: tuple[int, int]) -> tuple[int, list[np.ndarray]]:
+        lo, hi = bounds
+        return lo, [self.row(a) for a in range(lo, hi)]
 
 
 def profile_similarity(p1, p2, word_sim) -> float:
@@ -60,29 +149,14 @@ def profile_similarity(p1, p2, word_sim) -> float:
     canonically before matching, so results are bit-exact symmetric and
     ties in the grid resolve the same way no matter the argument order.
     """
-    wa = _word_tuple(p1)
-    wb = _word_tuple(p2)
-    if not wa or not wb:
+    wa, wb = sorted((_word_tuple(p1), _word_tuple(p2)))
+    if not wa:
         return 0.0
-    if wb < wa:
-        wa, wb = wb, wa
-    return _pair_score(wa, wb, word_sim)
-
-
-class _PairCache:
-    """Memo for a symmetric word-similarity function; per-worker, not shared."""
-
-    def __init__(self, word_sim):
-        self._word_sim = word_sim
-        self._cache: dict[tuple[str, str], float] = {}
-
-    def __call__(self, w1: str, w2: str) -> float:
-        key = (w1, w2) if w1 <= w2 else (w2, w1)
-        value = self._cache.get(key)
-        if value is None:
-            value = self._word_sim(w1, w2)
-            self._cache[key] = value
-        return value
+    if wa == wb:
+        scorer = _SetScorer([wa], [True], word_sim)
+    else:
+        scorer = _SetScorer([wa, wb], [False, False], word_sim)
+    return float(scorer.row(0)[0])
 
 
 class SimilarityMatrix:
@@ -172,30 +246,12 @@ class SimilarityMatrix:
 _WORKER: dict = {}
 
 
-def _init_worker(word_lists, word_sim):
-    _WORKER["words"] = word_lists
-    _WORKER["sw"] = _PairCache(word_sim)
+def _init_worker(scorer):
+    _WORKER["scorer"] = scorer
 
 
 def _score_rows(bounds):
-    lo, hi = bounds
-    word_lists = _WORKER["words"]
-    sw = _WORKER["sw"]
-    n = len(word_lists)
-    out = np.empty(sum(n - 1 - i for i in range(lo, hi)), dtype=np.float32)
-    pos = 0
-    for i in range(lo, hi):
-        wa = word_lists[i]
-        for j in range(i + 1, n):
-            wb = word_lists[j]
-            if not wa or not wb:
-                out[pos] = 0.0
-            elif wb < wa:
-                out[pos] = _pair_score(wb, wa, sw)
-            else:
-                out[pos] = _pair_score(wa, wb, sw)
-            pos += 1
-    return lo, out
+    return _WORKER["scorer"].rows(bounds)
 
 
 def _row_chunks(n: int, n_chunks: int) -> list[tuple[int, int]]:
@@ -216,46 +272,63 @@ def _row_chunks(n: int, n_chunks: int) -> list[tuple[int, int]]:
     return chunks
 
 
+def _scored_chunks(scorer: _SetScorer, chunks, workers: int):
+    if workers <= 1 or len(chunks) < 2:
+        yield from map(scorer.rows, chunks)
+        return
+    ctx = get_context("fork")
+    with ctx.Pool(processes=workers, initializer=_init_worker, initargs=(scorer,)) as pool:
+        yield from pool.imap_unordered(_score_rows, chunks)
+
+
 def build_similarity_matrix(profiles, word_sim, workers: int = 1, progress=None) -> SimilarityMatrix:
     """Compute all N*(N-1)/2 profile similarities.
 
+    Each distinct non-empty word set is scored once against every later
+    one, and against itself when two profiles hold it; see the module
+    docstring for the three steps and the memory they take.  ``word_sim``
+    is called only in this process, before any scoring, once for each
+    unordered word pair that some scored grid holds.  With
+    ``workers > 1``, forked processes score contiguous ranges of distinct
+    word sets from the finished word table; the result is the same.
     ``progress``, when given, is called with ``(done_pairs, total_pairs)``
-    at intervals.  With ``workers > 1`` the pair set is partitioned into
-    row blocks handled by forked processes; ``word_sim`` must then be
-    picklable.
+    in profile pairs after each range.
     """
     profiles = list(profiles)
     ids = [p.id for p in profiles]
     if len(set(ids)) != len(ids):
         raise InputError("duplicate profile ids")
     n = len(ids)
-    word_lists = [_word_tuple(p) for p in profiles]
+    words = [_word_tuple(p) for p in profiles]
     total_pairs = n * (n - 1) // 2
-    condensed = np.zeros(total_pairs, dtype=np.float32)
-
-    if workers <= 1 or n < 4:
-        sw = _PairCache(word_sim)
-        k = 0
-        for i in range(n):
-            wa = word_lists[i]
-            for j in range(i + 1, n):
-                wb = word_lists[j]
-                if wa and wb:
-                    condensed[k] = _pair_score(wb, wa, sw) if wb < wa else _pair_score(wa, wb, sw)
-                k += 1
-                if progress is not None and k % PROGRESS_EVERY == 0:
-                    progress(k, total_pairs)
-    else:
-        chunks = _row_chunks(n, workers * 4)
-        offsets = np.concatenate(([0], np.cumsum([n - 1 - i for i in range(n)]))).astype(np.int64)
+    counts = Counter(w for w in words if w)
+    sets = sorted(counts)
+    d = len(sets)
+    # Set x set scores; the extra last row and column give empty profiles 0.
+    scores = np.zeros((d + 1, d + 1), dtype=np.float32)
+    if d:
+        mult = np.array([counts[s] for s in sets], dtype=np.int64)
+        scorer = _SetScorer(sets, mult > 1, word_sim)
+        # profile pairs whose score each set row settles, for progress
+        settled = mult * (mult.sum() - np.cumsum(mult)) + mult * (mult - 1) // 2
         done = 0
-        ctx = get_context("fork")
-        with ctx.Pool(processes=workers, initializer=_init_worker, initargs=(word_lists, word_sim)) as pool:
-            for lo, block in pool.imap_unordered(_score_rows, chunks):
-                condensed[offsets[lo] : offsets[lo] + len(block)] = block
-                done += len(block)
-                if progress is not None:
-                    progress(done, total_pairs)
+        # at least 16 chunks for progress, and 4 per worker to balance the pool
+        for lo, rows in _scored_chunks(scorer, _row_chunks(d, 4 * max(workers, 4)), workers):
+            for a, row in enumerate(rows, start=lo):
+                cols = scorer.columns(a)
+                scores[a, cols] = row
+                scores[cols, a] = row
+            done += int(settled[lo : lo + len(rows)].sum())
+            if progress is not None:
+                progress(done, total_pairs)
+
+    index = {s: a for a, s in enumerate(sets)}
+    set_of = np.array([index[w] if w else d for w in words], dtype=np.intp)
+    condensed = np.empty(total_pairs, dtype=np.float32)
+    k = 0
+    for i in range(n - 1):
+        condensed[k : k + n - 1 - i] = scores[set_of[i], set_of[i + 1 :]]
+        k += n - 1 - i
 
     if progress is not None:
         progress(total_pairs, total_pairs)

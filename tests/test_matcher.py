@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from tagrec import matcher
 from tagrec.errors import InputError, UnknownIdError
 from tagrec.matcher import (
     SimilarityMatrix,
@@ -223,31 +224,59 @@ class TestParallelBuild:
         assert np.array_equal(serial.condensed, parallel.condensed)
 
 
-class TestKernels:
-    def test_native_and_pure_agree(self):
-        from tagrec._greedy_pure import greedy_match as pure
+class TestBatchedMatrix:
+    """The whole batched matrix against the literal oracle, pair by pair."""
 
-        try:
-            from tagrec._greedy import greedy_match as native
-        except ImportError:
-            pytest.skip("compiled kernel not available")
-        rng = np.random.default_rng(42)
-        for _ in range(300):
-            n, m = rng.integers(1, 9, size=2)
-            grid = rng.random((n, m))
-            if rng.random() < 0.5:
-                grid = np.round(grid, 1)  # provoke ties
-            a_total, a_count = native(np.ascontiguousarray(grid))
-            b_total, b_count = pure(grid)
-            assert a_total == b_total
-            assert a_count == b_count == min(n, m)
+    @pytest.mark.parametrize(
+        "workers, grid_bytes",
+        [(1, matcher.GRID_BYTES), (2, matcher.GRID_BYTES), (1, 2048)],
+        ids=["serial", "two-workers", "small-blocks"],
+    )
+    def test_every_pair_equals_oracle(self, monkeypatch, workers, grid_bytes):
+        monkeypatch.setattr(matcher, "GRID_BYTES", grid_bytes)
+        rng = random.Random(4242)
+        pool = [f"w{i}" for i in range(14)]
+        base = random_word_sim(rng, pool)
 
-    def test_kernel_name_exported(self):
-        from tagrec import matcher
+        def quantised(a, b):
+            return round(base(a, b), 1)  # ties throughout the grids
 
-        assert matcher.KERNEL in ("native", "pure")
+        asked = []
 
-    def test_pure_kernel_empty(self):
-        from tagrec._greedy_pure import greedy_match as pure
+        def recorded(a, b):
+            asked.append(frozenset((a, b)))
+            return quantised(a, b)
 
-        assert pure(np.zeros((0, 3))) == (0.0, 0)
+        # sizes 0..8 pad the grids; drawing 60 profiles from 27 sets repeats
+        # sets, so shared sets are scored against themselves
+        distinct = [frozenset(rng.sample(pool, size)) for size in range(9) for _ in range(3)]
+        words = [rng.choice(distinct) for _ in range(60)]
+        # a shared set whose words meet only each other
+        words += [frozenset({"x1", "x2"})] * 2
+        profiles = [Profile(id=f"p{i}", words=w) for i, w in enumerate(words)]
+        matrix = build_similarity_matrix(profiles, recorded, workers=workers)
+
+        k = 0
+        grid_pairs = set()
+        for i in range(len(words)):
+            for j in range(i + 1, len(words)):
+                rows, cols = sorted((tuple(sorted(words[i])), tuple(sorted(words[j]))))
+                expected, _ = greedy_oracle(rows, cols, quantised)
+                assert matrix.condensed[k] == np.float32(expected), (i, j)
+                grid_pairs |= {frozenset((u, v)) for u in rows for v in cols}
+                k += 1
+        # word_sim is asked once per word pair some grid holds, and no other
+        assert len(asked) == len(set(asked))
+        assert set(asked) == grid_pairs
+
+    def test_empty_grids_score_zero(self):
+        def never(a, b):
+            raise AssertionError("no grid holds a word pair")
+
+        profiles = [
+            Profile(id="e1", words=frozenset()),
+            Profile(id="e2", words=frozenset()),
+            Profile(id="a", words=frozenset({"alpha"})),
+        ]
+        matrix = build_similarity_matrix(profiles, never)
+        assert matrix.condensed.tolist() == [0.0, 0.0, 0.0]
