@@ -5,14 +5,20 @@ runs never leave a corrupt artifact, and is accompanied by a
 ``<name>.meta.json`` sidecar recording parameters, input hashes, and the
 output hash.  A stage is considered cached when its sidecar still matches
 the current inputs and parameters.
+
+``sims.tsv`` holds one row per pair in the matrix's storage order,
+``(ids[0], ids[1]), (ids[0], ids[2]), ..., (ids[n-2], ids[n-1])``; its
+reader accepts that order only.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import tempfile
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -117,50 +123,59 @@ def write_sims_tsv(path, matrix: SimilarityMatrix) -> None:
 
 
 def read_sims_tsv(path) -> SimilarityMatrix:
-    """Rebuild a :class:`SimilarityMatrix` from its TSV; ids keep their
-    order of first appearance."""
+    """Rebuild a :class:`SimilarityMatrix` from its TSV in one streaming pass.
+
+    Rows must come in storage order, the order of
+    ``itertools.combinations(ids, 2)`` that :func:`write_sims_tsv` emits.
+    The first id's rows name the ids; every later row must be the next
+    pair of that order, so a missing, repeated, swapped, self or extra pair
+    fails at the first row out of place.  Values go straight into a float32
+    buffer, with no Python object kept per row.
+    """
     ids: list[str] = []
-    index: dict[str, int] = {}
-    rows: list[tuple[int, int, float]] = []
+    seen: set[str] = set()
+    rest = None  # the pairs due after the first id's rows
+    values = array("f")
     try:
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
                 if not line.strip():
                     continue
-                parts = line.split("\t")
+                parts = line.rstrip("\n").split("\t")
                 if len(parts) != 3:
                     raise ParseError(path, line_no, f"expected 3 tab-separated fields, got {len(parts)}")
                 a, b, raw = parts
-                for pid in (a, b):
-                    if pid not in index:
-                        index[pid] = len(ids)
-                        ids.append(pid)
+                if rest is None and (not ids or a == ids[0]):
+                    if not ids:
+                        ids.append(a)
+                        seen.add(a)
+                    if b in seen:
+                        raise ParseError(path, line_no, f"pair ({a}, {b}) names id {b!r} twice")
+                    ids.append(b)
+                    seen.add(b)
+                else:
+                    if rest is None:
+                        rest = itertools.combinations(ids[1:], 2)
+                    want = next(rest, None)
+                    if want is None:
+                        raise ParseError(path, line_no, f"extra pair ({a}, {b}) after the last pair")
+                    if want != (a, b):
+                        raise ParseError(path, line_no, f"expected pair ({want[0]}, {want[1]}), got ({a}, {b})")
                 try:
                     value = float(raw)
                 except ValueError:
                     raise ParseError(path, line_no, f"similarity is not a number: {raw!r}") from None
                 if not 0.0 <= value <= 1.0:
                     raise ParseError(path, line_no, f"similarity out of range: {value}")
-                rows.append((index[a], index[b], value))
+                values.append(value)
     except (OSError, UnicodeDecodeError) as exc:
         raise ResourceError(f"cannot read similarity matrix {path}: {exc}") from exc
 
     n = len(ids)
     expected = n * (n - 1) // 2
-    if len(rows) != expected:
-        raise ParseError(path, 0, f"expected {expected} pair rows for {n} ids, found {len(rows)}")
-    condensed = np.full(expected, np.nan, dtype=np.float32)
-    for i, j, value in rows:
-        if i == j:
-            raise ParseError(path, 0, f"self-pair for id {ids[i]!r}")
-        if i > j:
-            i, j = j, i
-        k = n * i - i * (i + 1) // 2 + (j - i - 1)
-        if not np.isnan(condensed[k]):
-            raise ParseError(path, 0, f"duplicate pair ({ids[i]}, {ids[j]})")
-        condensed[k] = value
-    return SimilarityMatrix(ids, condensed)
+    if len(values) != expected:
+        raise ParseError(path, 0, f"expected {expected} pair rows for {n} ids, found {len(values)}")
+    return SimilarityMatrix(ids, np.frombuffer(values, dtype=np.float32))
 
 
 def write_clusters_tsv(path, clustering: Clustering, id_order) -> None:
@@ -203,14 +218,7 @@ def read_clusters_tsv(path) -> Clustering:
     k = max(medoids) + 1
     if sorted(medoids) != list(range(k)):
         raise ParseError(path, 0, "cluster indices are not contiguous from 0")
-    return Clustering(
-        k=k,
-        medoids=tuple(medoids[c] for c in range(k)),
-        assignment=assignment,
-        cost=float("nan"),
-        seed=0,
-        iterations=0,
-    )
+    return Clustering(k=k, medoids=tuple(medoids[c] for c in range(k)), assignment=assignment)
 
 
 def write_recommendations_tsv(path, recommendations) -> None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import MISSING, fields
 
 from tagrec import pipeline
 from tagrec.corpus import DEFAULT_FLOOR_PROB, load_bigrams, load_lexicon
@@ -13,6 +14,18 @@ from tagrec.segmenter import evaluate_segmenter, load_golden, segment
 from tagrec.taxonomy import DEFAULT_IC_CAP
 
 logger = logging.getLogger("tagrec")
+
+# Types of the run-all keys that are not paths; the keys are PipelineConfig's
+# fields, and a flag or config-file value left out takes the field's default.
+_RUN_ALL_TYPES = {
+    "k": int,
+    "seed": int,
+    "max_iter": int,
+    "top": int,
+    "workers": int,
+    "bigram_floor": float,
+    "ic_cap": float,
+}
 
 
 def _add_corpus_flags(parser):
@@ -134,34 +147,12 @@ def _cmd_recommend(args) -> int:
 
 def _cmd_run_all(args) -> int:
     file_values = pipeline.load_config_file(args.config) if args.config else {}
-
-    def pick(name, cast, default=None):
-        flag = getattr(args, name)
-        if flag is not None:
-            return flag
-        if name in file_values:
-            return cast(file_values[name])
-        return default
-
-    required = {}
-    for name in ("users", "lexicon", "bigrams", "synsets", "edges", "out_dir"):
-        value = pick(name, str)
-        if value is None:
-            raise InputError(f"run-all needs --{name.replace('_', '-')} (flag or config file)")
-        required[name] = value
-
-    cfg = pipeline.PipelineConfig(
-        **required,
-        counts=pick("counts", str),
-        k=pick("k", int, 30),
-        seed=pick("seed", int, 42),
-        max_iter=pick("max_iter", int, 100),
-        top=pick("top", int),
-        workers=pick("workers", int, 1),
-        bigram_floor=pick("bigram_floor", float, DEFAULT_FLOOR_PROB),
-        ic_cap=pick("ic_cap", float, DEFAULT_IC_CAP),
-        force=args.force,
-    )
+    values = {key: _RUN_ALL_TYPES.get(key, str)(raw) for key, raw in file_values.items()}
+    values.update((key, getattr(args, key)) for key in pipeline.CONFIG_KEYS if getattr(args, key) is not None)
+    for f in fields(pipeline.PipelineConfig):
+        if f.default is MISSING and f.name not in values:
+            raise InputError(f"run-all needs --{f.name.replace('_', '-')} (flag or config file)")
+    cfg = pipeline.PipelineConfig(**values, force=args.force)
     for report in pipeline.run_all(cfg):
         print(report.line())
     return 0
@@ -199,9 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="k-medoids clustering of the similarity matrix")
     p.add_argument("--sims", required=True, help="similarity TSV from the simmatrix stage")
-    p.add_argument("--k", type=int, default=30, help="number of clusters")
-    p.add_argument("--seed", type=int, default=42, help="random seed for medoid initialization")
-    p.add_argument("--max-iter", type=int, default=100, help="iteration cap")
+    p.add_argument("--k", type=int, default=pipeline.PipelineConfig.k, help="number of clusters")
+    p.add_argument(
+        "--seed", type=int, default=pipeline.PipelineConfig.seed, help="random seed for medoid initialization"
+    )
+    p.add_argument("--max-iter", type=int, default=pipeline.PipelineConfig.max_iter, help="iteration cap")
     p.add_argument("--out", required=True, help="clusters TSV output")
     p.set_defaults(func=_cmd_cluster)
 
@@ -221,20 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run-all", help="run the full pipeline with cached stages")
     p.add_argument("--config", default=None, help="key = value config file; flags win")
-    p.add_argument("--users", default=None)
-    p.add_argument("--lexicon", default=None)
-    p.add_argument("--bigrams", default=None)
-    p.add_argument("--synsets", default=None)
-    p.add_argument("--edges", default=None)
-    p.add_argument("--counts", default=None)
-    p.add_argument("--out-dir", dest="out_dir", default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-    p.add_argument("--top", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--bigram-floor", dest="bigram_floor", type=float, default=None)
-    p.add_argument("--ic-cap", dest="ic_cap", type=float, default=None)
+    for key in pipeline.CONFIG_KEYS:
+        p.add_argument("--" + key.replace("_", "-"), type=_RUN_ALL_TYPES.get(key, str), default=None)
     p.add_argument("--force", action="store_true", help="recompute even when cached")
     p.set_defaults(func=_cmd_run_all)
 

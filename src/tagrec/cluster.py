@@ -27,9 +27,10 @@ class Clustering:
     k: int
     medoids: tuple[str, ...]  # medoid id per cluster index
     assignment: dict[str, int]  # profile id -> cluster index
-    cost: float
-    seed: int
-    iterations: int
+    # None when read back from clusters.tsv, which does not record them
+    cost: float | None = None
+    seed: int | None = None
+    iterations: int | None = None
     cost_trace: tuple[float, ...] = ()
 
     def members(self, cluster: int) -> list[str]:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
+from itertools import combinations
 from multiprocessing import get_context
 
 import numpy as np
@@ -187,8 +188,8 @@ class SimilarityMatrix:
         except KeyError:
             raise UnknownIdError(f"unknown profile id {profile_id!r}") from None
 
-    def _k(self, i: int, j: int) -> int:
-        # condensed index of pair (i, j) with i < j
+    def _k(self, i, j):
+        # condensed index of pair (i, j) with i < j; i and j may be index arrays
         return self.n * i - i * (i + 1) // 2 + (j - i - 1)
 
     def sim(self, i: int, j: int) -> float:
@@ -206,11 +207,10 @@ class SimilarityMatrix:
         n = self.n
         out = np.empty(n, dtype=np.float64)
         if j > 0:
-            i = np.arange(j)
-            out[:j] = self.condensed[n * i - i * (i + 1) // 2 + (j - i - 1)]
+            out[:j] = self.condensed[self._k(np.arange(j), j)]
         out[j] = 1.0  # self-similarity
         if j < n - 1:
-            base = n * j - j * (j + 1) // 2
+            base = self._k(j, j + 1)
             out[j + 1 :] = self.condensed[base : base + (n - j - 1)]
         return 1.0 - out
 
@@ -219,23 +219,18 @@ class SimilarityMatrix:
         idx = np.asarray(indices, dtype=np.int64)
         if self.condensed.size == 0:
             return np.zeros((idx.size, idx.size), dtype=np.float64)
-        a = idx[:, None]
-        b = idx[None, :]
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
+        lo = np.minimum.outer(idx, idx)
+        hi = np.maximum.outer(idx, idx)
         # Diagonal cells get a bogus condensed index; they are overwritten below.
-        k = self.n * lo - lo * (lo + 1) // 2 + (hi - lo - 1)
-        dist = 1.0 - self.condensed[k].astype(np.float64)
+        dist = 1.0 - self.condensed[self._k(lo, hi)].astype(np.float64)
         np.fill_diagonal(dist, 0.0)
         return dist
 
     def iter_pairs(self):
-        """Yield ``(id_i, id_j, sim)`` for every i < j in storage order."""
-        k = 0
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                yield self.ids[i], self.ids[j], float(self.condensed[k])
-                k += 1
+        """Yield ``(id_i, id_j, sim)`` for every i < j in storage order,
+        the order of ``itertools.combinations(ids, 2)``."""
+        for (a, b), s in zip(combinations(self.ids, 2), self.condensed.tolist()):
+            yield a, b, s
 
     def scaled(self, factor: float) -> "SimilarityMatrix":
         return SimilarityMatrix(self.ids, self.condensed * np.float32(factor))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from tagrec import artifacts
@@ -200,22 +200,7 @@ def run_all(cfg: PipelineConfig) -> list[StageReport]:
 
 # -- config file ---------------------------------------------------------
 
-CONFIG_KEYS = {
-    "users",
-    "lexicon",
-    "bigrams",
-    "synsets",
-    "edges",
-    "counts",
-    "out_dir",
-    "k",
-    "seed",
-    "max_iter",
-    "top",
-    "workers",
-    "bigram_floor",
-    "ic_cap",
-}
+CONFIG_KEYS = tuple(f.name for f in fields(PipelineConfig) if f.name != "force")
 
 
 def load_config_file(path) -> dict[str, str]:
