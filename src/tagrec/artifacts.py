@@ -24,9 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from tagrec.cluster import Clustering
-from tagrec.errors import ParseError, ResourceError
+from tagrec.errors import ParseError
 from tagrec.matcher import SimilarityMatrix
 from tagrec.profiles import Profile
+from tagrec.tsv import read_rows
 
 SIM_FORMAT = "{:.6f}"
 
@@ -101,20 +102,10 @@ def write_profiles_tsv(path, profiles) -> None:
 
 
 def read_profiles_tsv(path) -> list[Profile]:
-    profiles = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line.strip():
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise ParseError(path, line_no, f"expected 2 tab-separated fields, got {len(parts)}")
-                profiles.append(Profile(id=parts[0], words=frozenset(parts[1].split())))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ResourceError(f"cannot read profiles {path}: {exc}") from exc
-    return profiles
+    return [
+        Profile(id=pid, words=frozenset(words.split()))
+        for _, (pid, words) in read_rows(path, 2, "profiles")
+    ]
 
 
 def write_sims_tsv(path, matrix: SimilarityMatrix) -> None:
@@ -136,40 +127,30 @@ def read_sims_tsv(path) -> SimilarityMatrix:
     seen: set[str] = set()
     rest = None  # the pairs due after the first id's rows
     values = array("f")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                parts = line.rstrip("\n").split("\t")
-                if len(parts) != 3:
-                    raise ParseError(path, line_no, f"expected 3 tab-separated fields, got {len(parts)}")
-                a, b, raw = parts
-                if rest is None and (not ids or a == ids[0]):
-                    if not ids:
-                        ids.append(a)
-                        seen.add(a)
-                    if b in seen:
-                        raise ParseError(path, line_no, f"pair ({a}, {b}) names id {b!r} twice")
-                    ids.append(b)
-                    seen.add(b)
-                else:
-                    if rest is None:
-                        rest = itertools.combinations(ids[1:], 2)
-                    want = next(rest, None)
-                    if want is None:
-                        raise ParseError(path, line_no, f"extra pair ({a}, {b}) after the last pair")
-                    if want != (a, b):
-                        raise ParseError(path, line_no, f"expected pair ({want[0]}, {want[1]}), got ({a}, {b})")
-                try:
-                    value = float(raw)
-                except ValueError:
-                    raise ParseError(path, line_no, f"similarity is not a number: {raw!r}") from None
-                if not 0.0 <= value <= 1.0:
-                    raise ParseError(path, line_no, f"similarity out of range: {value}")
-                values.append(value)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ResourceError(f"cannot read similarity matrix {path}: {exc}") from exc
+    for line_no, (a, b, raw) in read_rows(path, 3, "similarity matrix"):
+        if rest is None and (not ids or a == ids[0]):
+            if not ids:
+                ids.append(a)
+                seen.add(a)
+            if b in seen:
+                raise ParseError(path, line_no, f"pair ({a}, {b}) names id {b!r} twice")
+            ids.append(b)
+            seen.add(b)
+        else:
+            if rest is None:
+                rest = itertools.combinations(ids[1:], 2)
+            want = next(rest, None)
+            if want is None:
+                raise ParseError(path, line_no, f"extra pair ({a}, {b}) after the last pair")
+            if want != (a, b):
+                raise ParseError(path, line_no, f"expected pair ({want[0]}, {want[1]}), got ({a}, {b})")
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ParseError(path, line_no, f"similarity is not a number: {raw!r}") from None
+        if not 0.0 <= value <= 1.0:
+            raise ParseError(path, line_no, f"similarity out of range: {value}")
+        values.append(value)
 
     n = len(ids)
     expected = n * (n - 1) // 2
@@ -192,27 +173,16 @@ def write_clusters_tsv(path, clustering: Clustering, id_order) -> None:
 def read_clusters_tsv(path) -> Clustering:
     assignment: dict[str, int] = {}
     medoids: dict[int, str] = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line.strip():
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise ParseError(path, line_no, f"expected 3 tab-separated fields, got {len(parts)}")
-                pid, raw_cluster, medoid = parts
-                try:
-                    cluster = int(raw_cluster)
-                except ValueError:
-                    raise ParseError(path, line_no, f"cluster index is not an integer: {raw_cluster!r}") from None
-                if pid in assignment:
-                    raise ParseError(path, line_no, f"duplicate profile id {pid!r}")
-                assignment[pid] = cluster
-                if medoids.setdefault(cluster, medoid) != medoid:
-                    raise ParseError(path, line_no, f"conflicting medoid for cluster {cluster}")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ResourceError(f"cannot read clusters {path}: {exc}") from exc
+    for line_no, (pid, raw_cluster, medoid) in read_rows(path, 3, "clusters"):
+        try:
+            cluster = int(raw_cluster)
+        except ValueError:
+            raise ParseError(path, line_no, f"cluster index is not an integer: {raw_cluster!r}") from None
+        if pid in assignment:
+            raise ParseError(path, line_no, f"duplicate profile id {pid!r}")
+        assignment[pid] = cluster
+        if medoids.setdefault(cluster, medoid) != medoid:
+            raise ParseError(path, line_no, f"conflicting medoid for cluster {cluster}")
     if not assignment:
         raise ParseError(path, 0, "no cluster rows")
     k = max(medoids) + 1

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from contextlib import nullcontext
 from dataclasses import MISSING, fields
 
 from tagrec import pipeline
@@ -47,16 +48,15 @@ def _add_taxonomy_flags(parser):
 
 
 def _open_out(path):
-    return open(path, "w", encoding="utf-8") if path else sys.stdout
+    return open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout)
 
 
 def _cmd_segment(args) -> int:
     lexicon = load_lexicon(args.lexicon)
     bigrams = load_bigrams(args.bigrams, floor_prob=args.bigram_floor)
-    source = open(args.infile, encoding="utf-8") if args.infile else sys.stdin
-    out = _open_out(args.out)
-    try:
-        for line in source:
+    source = open(args.infile, encoding="utf-8") if args.infile else nullcontext(sys.stdin)
+    with source as lines, _open_out(args.out) as out:
+        for line in lines:
             raw = line.strip()
             if not raw:
                 continue
@@ -67,11 +67,6 @@ def _cmd_segment(args) -> int:
                 print(f"{raw}\tinvalid\t", file=out)
                 continue
             print(f"{raw}\t{result.status.value}\t{' '.join(result.tokens)}", file=out)
-    finally:
-        if source is not sys.stdin:
-            source.close()
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -81,14 +76,10 @@ def _cmd_evaluate(args) -> int:
     golden = load_golden(args.golden)
     report = evaluate_segmenter(golden, lexicon, bigrams)
     print(f"success rate: {report.success_rate:.4f} ({report.correct}/{report.total})")
-    out = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         for f in report.failures:
             flag = "lexicon-miss" if f.lexicon_miss else "bigram"
             print(f"FAIL\t{f.hashtag}\t{' '.join(f.expected)}\t{' '.join(f.produced)}\t{flag}", file=out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -114,13 +105,9 @@ def _cmd_cluster_stats(args) -> int:
     from tagrec.cluster import cluster_histogram
 
     clustering = read_clusters_tsv(args.clusters)
-    out = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         for index, size in cluster_histogram(clustering):
             print(f"{index}\t{size}", file=out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -147,7 +134,13 @@ def _cmd_recommend(args) -> int:
 
 def _cmd_run_all(args) -> int:
     file_values = pipeline.load_config_file(args.config) if args.config else {}
-    values = {key: _RUN_ALL_TYPES.get(key, str)(raw) for key, raw in file_values.items()}
+    values = {}
+    for key, raw in file_values.items():
+        cast = _RUN_ALL_TYPES.get(key, str)
+        try:
+            values[key] = cast(raw)
+        except ValueError:
+            raise InputError(f"config key {key!r}: {raw!r} is not a valid {cast.__name__}") from None
     values.update((key, getattr(args, key)) for key in pipeline.CONFIG_KEYS if getattr(args, key) is not None)
     for f in fields(pipeline.PipelineConfig):
         if f.default is MISSING and f.name not in values:
@@ -231,7 +224,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except TagrecError as exc:
+    except (TagrecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

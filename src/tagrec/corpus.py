@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from tagrec.errors import EmptyResourceError, InputError, ParseError, ResourceError
+from tagrec.tsv import read_rows
 
 logger = logging.getLogger(__name__)
 
@@ -107,29 +108,18 @@ def load_bigrams(path, floor_prob: float = DEFAULT_FLOOR_PROB) -> BigramModel:
     agree with lexicon normalization.
     """
     counts: dict[tuple[str, str], int] = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line.strip():
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise ParseError(path, line_no, f"expected 3 tab-separated fields, got {len(parts)}")
-                w1, w2, raw_count = parts
-                w1, w2 = w1.strip().lower(), w2.strip().lower()
-                if not w1 or not w2:
-                    raise ParseError(path, line_no, "empty word field")
-                try:
-                    count = int(raw_count)
-                except ValueError:
-                    raise ParseError(path, line_no, f"count is not an integer: {raw_count!r}") from None
-                if count <= 0:
-                    raise ParseError(path, line_no, f"count must be positive, got {count}")
-                key = (w1, w2)
-                counts[key] = counts.get(key, 0) + count
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ResourceError(f"cannot read bigrams {path}: {exc}") from exc
+    for line_no, (w1, w2, raw_count) in read_rows(path, 3, "bigrams"):
+        w1, w2 = w1.strip().lower(), w2.strip().lower()
+        if not w1 or not w2:
+            raise ParseError(path, line_no, "empty word field")
+        try:
+            count = int(raw_count)
+        except ValueError:
+            raise ParseError(path, line_no, f"count is not an integer: {raw_count!r}") from None
+        if count <= 0:
+            raise ParseError(path, line_no, f"count must be positive, got {count}")
+        key = (w1, w2)
+        counts[key] = counts.get(key, 0) + count
     if not counts:
         raise EmptyResourceError(f"bigram file {path} contains no rows")
     return BigramModel(counts, floor_prob=floor_prob)

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from tagrec.corpus import BigramModel, Lexicon
-from tagrec.errors import InputError, ParseError, ResourceError
-from tagrec.segmenter import DEFAULT_MAX_CANDIDATES, Hashtag, SegmentStatus, segment
+from tagrec.errors import InputError, ParseError
+from tagrec.segmenter import Hashtag, SegmentStatus, segment
+from tagrec.tsv import read_rows
 
 logger = logging.getLogger(__name__)
 
@@ -31,35 +32,18 @@ def ingest_profiles(path) -> list[tuple[str, list[str]]]:
     """
     order: list[str] = []
     tags_by_id: dict[str, list[str]] = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line.strip():
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise ParseError(path, line_no, f"expected 2 tab-separated fields, got {len(parts)}")
-                user_id, tag_field = parts[0].strip(), parts[1]
-                if not user_id:
-                    raise ParseError(path, line_no, "empty user id")
-                tags = [t.strip() for t in tag_field.split(",") if t.strip()]
-                if user_id not in tags_by_id:
-                    order.append(user_id)
-                    tags_by_id[user_id] = []
-                tags_by_id[user_id].extend(tags)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ResourceError(f"cannot read users file {path}: {exc}") from exc
+    for line_no, (user_id, tag_field) in read_rows(path, 2, "users file"):
+        user_id = user_id.strip()
+        if not user_id:
+            raise ParseError(path, line_no, "empty user id")
+        if user_id not in tags_by_id:
+            order.append(user_id)
+            tags_by_id[user_id] = []
+        tags_by_id[user_id].extend(t.strip() for t in tag_field.split(",") if t.strip())
     return [(user_id, tags_by_id[user_id]) for user_id in order]
 
 
-def build_profile(
-    user_id: str,
-    hashtags,
-    lexicon: Lexicon,
-    bigrams: BigramModel,
-    max_candidates: int = DEFAULT_MAX_CANDIDATES,
-) -> Profile:
+def build_profile(user_id: str, hashtags, lexicon: Lexicon, bigrams: BigramModel) -> Profile:
     """Segment every hashtag and collect the resulting words.
 
     Hashtags that fail normalization (digits, punctuation, non-ASCII) or
@@ -75,7 +59,7 @@ def build_profile(
         except InputError:
             n_invalid += 1
             continue
-        result = segment(tag, lexicon, bigrams, max_candidates)
+        result = segment(tag, lexicon, bigrams)
         if result.status is SegmentStatus.UNSEGMENTABLE:
             n_unsegmentable += 1
         else:

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from tagrec.corpus import BigramModel, Lexicon
-from tagrec.errors import InputError, ParseError, ResourceError
+from tagrec.errors import InputError
+from tagrec.tsv import read_rows
 
 DEFAULT_MAX_CANDIDATES = 256
 
@@ -118,12 +119,7 @@ def score_segmentation(tokens, bigrams: BigramModel) -> float:
     return total
 
 
-def segment(
-    hashtag: Hashtag | str,
-    lexicon: Lexicon,
-    bigrams: BigramModel,
-    max_candidates: int = DEFAULT_MAX_CANDIDATES,
-) -> SegmentResult:
+def segment(hashtag: Hashtag | str, lexicon: Lexicon, bigrams: BigramModel) -> SegmentResult:
     """Split a hashtag into its most probable sequence of lexicon words.
 
     Selection rules, in order:
@@ -136,12 +132,15 @@ def segment(
       token order;
     * none exist (or, with a zero bigram floor, all score -inf) ->
       ``unsegmentable`` with no tokens.
+
+    Only the first ``DEFAULT_MAX_CANDIDATES`` splits in (token count,
+    tokens) order are scored.
     """
     h = _as_hashtag(hashtag)
     if h.normalized in lexicon:
         return SegmentResult(h, (h.normalized,), SegmentStatus.EXACT_WORD, 0.0)
 
-    candidates, _ = enumerate_segmentations(h, lexicon, max_candidates)
+    candidates, _ = enumerate_segmentations(h, lexicon, DEFAULT_MAX_CANDIDATES)
     if not candidates:
         return SegmentResult(h, (), SegmentStatus.UNSEGMENTABLE, float("-inf"))
     if len(candidates) == 1:
@@ -208,18 +207,6 @@ def evaluate_segmenter(golden, lexicon: Lexicon, bigrams: BigramModel) -> Evalua
 
 def load_golden(path) -> list[tuple[str, tuple[str, ...]]]:
     """Read a golden TSV of ``hashtag<TAB>token1 token2 ...`` rows."""
-    rows: list[tuple[str, tuple[str, ...]]] = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line.strip():
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise ParseError(path, line_no, f"expected 2 tab-separated fields, got {len(parts)}")
-                hashtag, tokens = parts
-                rows.append((hashtag.strip(), tuple(tokens.split())))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ResourceError(f"cannot read golden set {path}: {exc}") from exc
-    return rows
+    return [
+        (hashtag.strip(), tuple(tokens.split())) for _, (hashtag, tokens) in read_rows(path, 2, "golden set")
+    ]

@@ -19,10 +19,10 @@ from tagrec.errors import (
     EmptyResourceError,
     InputError,
     ParseError,
-    ResourceError,
     StructureError,
     UnknownIdError,
 )
+from tagrec.tsv import read_rows
 
 logger = logging.getLogger(__name__)
 
@@ -186,21 +186,6 @@ class Taxonomy:
         return len(self.synsets)
 
 
-def _read_rows(path, n_fields: int, what: str):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line.strip() or line.startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) != n_fields:
-                    raise ParseError(path, line_no, f"expected {n_fields} tab-separated fields, got {len(parts)}")
-                yield line_no, parts
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ResourceError(f"cannot read {what} {path}: {exc}") from exc
-
-
 def load_taxonomy(synsets_path, edges_path, counts_path=None, ic_cap: float = DEFAULT_IC_CAP) -> Taxonomy:
     """Build a :class:`Taxonomy` from its three TSV files.
 
@@ -210,7 +195,7 @@ def load_taxonomy(synsets_path, edges_path, counts_path=None, ic_cap: float = DE
     an own count of 1.
     """
     synsets: dict[str, Synset] = {}
-    for line_no, (sid, pos, members) in _read_rows(synsets_path, 3, "synsets"):
+    for line_no, (sid, pos, members) in read_rows(synsets_path, 3, "synsets", comments=True):
         sid = sid.strip()
         if not sid:
             raise ParseError(synsets_path, line_no, "empty synset id")
@@ -224,7 +209,7 @@ def load_taxonomy(synsets_path, edges_path, counts_path=None, ic_cap: float = DE
         raise EmptyResourceError(f"synsets file {synsets_path} contains no rows")
 
     parents: dict[str, set[str]] = {sid: set() for sid in synsets}
-    for line_no, (child, parent) in _read_rows(edges_path, 2, "edges"):
+    for line_no, (child, parent) in read_rows(edges_path, 2, "edges", comments=True):
         child, parent = child.strip(), parent.strip()
         if child not in synsets:
             raise UnknownIdError(f"{edges_path}:{line_no}: unknown child id {child!r}")
@@ -234,7 +219,7 @@ def load_taxonomy(synsets_path, edges_path, counts_path=None, ic_cap: float = DE
 
     own_counts: dict[str, int] = {}
     if counts_path is not None:
-        for line_no, (sid, raw_count) in _read_rows(counts_path, 2, "counts"):
+        for line_no, (sid, raw_count) in read_rows(counts_path, 2, "counts", comments=True):
             sid = sid.strip()
             if sid not in synsets:
                 raise UnknownIdError(f"{counts_path}:{line_no}: unknown synset id {sid!r}")

@@ -198,6 +198,26 @@ class TestConfigFile:
         assert "run-all needs" in capsys.readouterr().err
 
 
+class TestCliErrors:
+    @pytest.mark.parametrize("case", ["config value", "missing input", "profiles out", "segment out"])
+    def test_failure_is_an_error_line(self, case, users_file, tmp_path, capsys):
+        corpus = ["--lexicon", str(DATA / "lexicon.txt"), "--bigrams", str(DATA / "bigrams.tsv")]
+        config = tmp_path / "bad.cfg"
+        config.write_text("k = abc\n", encoding="utf-8")
+        tags = tmp_path / "tags.txt"
+        tags.write_text("#chef\n", encoding="utf-8")
+        blocker = tmp_path / "blocker"  # a file where a directory is needed
+        blocker.write_text("", encoding="utf-8")
+        argv = {
+            "config value": ["run-all", "--config", str(config)],
+            "missing input": ["segment", *corpus, "--in", str(tmp_path / "missing.txt")],
+            "profiles out": ["profiles", *corpus, "--in", str(users_file), "--out", str(blocker / "p.tsv")],
+            "segment out": ["segment", *corpus, "--in", str(tags), "--out", str(blocker / "s.tsv")],
+        }[case]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+
 class TestClusterStatsCommand:
     def test_histogram_output(self, users_file, tmp_path, capsys):
         out_dir = tmp_path / "out"
