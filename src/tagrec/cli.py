@@ -10,7 +10,7 @@ from dataclasses import MISSING, fields
 
 from tagrec import pipeline
 from tagrec.corpus import DEFAULT_FLOOR_PROB, load_bigrams, load_lexicon
-from tagrec.errors import InputError, TagrecError
+from tagrec.errors import InputError, ResourceError, TagrecError
 from tagrec.segmenter import evaluate_segmenter, load_golden, segment
 from tagrec.taxonomy import DEFAULT_IC_CAP
 
@@ -55,18 +55,21 @@ def _cmd_segment(args) -> int:
     lexicon = load_lexicon(args.lexicon)
     bigrams = load_bigrams(args.bigrams, floor_prob=args.bigram_floor)
     source = open(args.infile, encoding="utf-8") if args.infile else nullcontext(sys.stdin)
-    with source as lines, _open_out(args.out) as out:
-        for line in lines:
-            raw = line.strip()
-            if not raw:
-                continue
-            try:
-                result = segment(raw, lexicon, bigrams)
-            except InputError:
-                logger.warning("rejected hashtag %r", raw)
-                print(f"{raw}\tinvalid\t", file=out)
-                continue
-            print(f"{raw}\t{result.status.value}\t{' '.join(result.tokens)}", file=out)
+    try:
+        with source as lines, _open_out(args.out) as out:
+            for line in lines:
+                raw = line.strip()
+                if not raw:
+                    continue
+                try:
+                    result = segment(raw, lexicon, bigrams)
+                except InputError:
+                    logger.warning("rejected hashtag %r", raw)
+                    print(f"{raw}\tinvalid\t", file=out)
+                    continue
+                print(f"{raw}\t{result.status.value}\t{' '.join(result.tokens)}", file=out)
+    except UnicodeDecodeError as exc:  # only reading the input decodes
+        raise ResourceError(f"cannot read hashtags {args.infile or '<stdin>'}: {exc}") from exc
     return 0
 
 

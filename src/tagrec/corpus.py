@@ -37,9 +37,17 @@ class Lexicon:
         return len(self.words)
 
     @cached_property
-    def max_word_length(self) -> int:
-        # Computed once per lexicon: the segmenter reads it for every hashtag.
-        return max((len(w) for w in self.words), default=0)
+    def prefixes(self) -> dict[str, str]:
+        """Every non-empty prefix of a lexicon word, mapped to the word
+        itself (this lexicon's string) when the prefix is a word, else "".
+
+        Computed once per lexicon: the segmenter stops extending a piece of
+        a hashtag at the first piece that is not a prefix, and its tokens
+        share the lexicon's strings instead of holding copies.
+        """
+        prefixes = {w[:i]: "" for w in self.words for i in range(1, len(w))}
+        prefixes.update((w, w) for w in self.words)
+        return prefixes
 
 
 class BigramModel:

@@ -223,6 +223,6 @@ def load_config_file(path) -> dict[str, str]:
                 if key not in CONFIG_KEYS:
                     raise PipelineError("config", f"{path}:{line_no}: unknown key {key!r}")
                 values[key] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise PipelineError("config", f"cannot read config file {path}: {exc}") from exc
     return values

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from tagrec.corpus import BigramModel, Lexicon
 from tagrec.errors import InputError, ParseError
-from tagrec.segmenter import Hashtag, SegmentStatus, segment
+from tagrec.segmenter import Hashtag, segment
 from tagrec.tsv import read_rows
 
 logger = logging.getLogger(__name__)
@@ -50,6 +50,14 @@ def build_profile(user_id: str, hashtags, lexicon: Lexicon, bigrams: BigramModel
     that no lexicon path covers contribute nothing; both cases are
     counted on the returned profile.
     """
+    return _build_profile(user_id, hashtags, lexicon, bigrams, {})
+
+
+def _build_profile(
+    user_id: str, hashtags, lexicon: Lexicon, bigrams: BigramModel, splits: dict[str, tuple[str, ...]]
+) -> Profile:
+    """:func:`build_profile`, reading and filling ``splits``: normalized
+    body -> the tokens of its one :func:`segment` call."""
     words: set[str] = set()
     n_unsegmentable = 0
     n_invalid = 0
@@ -59,11 +67,13 @@ def build_profile(user_id: str, hashtags, lexicon: Lexicon, bigrams: BigramModel
         except InputError:
             n_invalid += 1
             continue
-        result = segment(tag, lexicon, bigrams)
-        if result.status is SegmentStatus.UNSEGMENTABLE:
+        tokens = splits.get(tag.normalized)
+        if tokens is None:
+            tokens = splits[tag.normalized] = segment(tag, lexicon, bigrams).tokens
+        if tokens:
+            words.update(tokens)
+        else:  # only an unsegmentable hashtag has no tokens
             n_unsegmentable += 1
-        else:
-            words.update(result.tokens)
     return Profile(
         id=user_id,
         hashtags=tuple(hashtags),
@@ -74,8 +84,13 @@ def build_profile(user_id: str, hashtags, lexicon: Lexicon, bigrams: BigramModel
 
 
 def build_profiles(pairs, lexicon: Lexicon, bigrams: BigramModel) -> list[Profile]:
-    """Build profiles for every ``(id, hashtags)`` pair, logging totals."""
-    profiles = [build_profile(user_id, tags, lexicon, bigrams) for user_id, tags in pairs]
+    """Build profiles for every ``(id, hashtags)`` pair, logging totals.
+
+    Each distinct normalized hashtag body is segmented once per call; the
+    memo of its tokens lives only for this call.
+    """
+    splits: dict[str, tuple[str, ...]] = {}
+    profiles = [_build_profile(user_id, tags, lexicon, bigrams, splits) for user_id, tags in pairs]
     skipped = sum(p.n_unsegmentable + p.n_invalid for p in profiles)
     if skipped:
         logger.info("profiles: %d hashtags contributed no words", skipped)

@@ -1,10 +1,14 @@
-"""Hashtag segmentation: lexicon-gated enumeration plus bigram disambiguation.
+"""Hashtag segmentation: lexicon-gated splits plus bigram disambiguation.
 
-A hashtag body is split in two steps.  First every token sequence whose
-words are all in the lexicon is enumerated; then, when several splits
+A hashtag body may be split only into lexicon words; when several splits
 compete, the one whose adjacent-word bigrams carry the highest joint
 probability wins.  A body that is itself a dictionary word short-circuits
-both steps.
+both steps.  :func:`segment` finds the winner with a Viterbi dynamic
+program over the lexicon lattice (Norvig, "Natural Language Corpus
+Data", *Beautiful Data*, 2009), so it never lists the splits;
+:func:`enumerate_segmentations` lists them, up to a cap, for inspection
+and for tests.  A result depends on the body alone, so
+:func:`tagrec.profiles.build_profiles` segments each distinct body once.
 """
 
 from __future__ import annotations
@@ -60,6 +64,31 @@ def _as_hashtag(value: Hashtag | str) -> Hashtag:
     return value if isinstance(value, Hashtag) else Hashtag.parse(value)
 
 
+def _lattice(body: str, lexicon: Lexicon) -> tuple[list[list[str]], list[int]]:
+    """The lexicon words of ``body`` that lie on some complete split.
+
+    Returns ``(words, paths)``: ``words[i]`` lists the lexicon words that
+    start at position ``i`` and after which the rest of the body still
+    splits, and ``paths[i]`` counts the splits of ``body[i:]``, capped at 2.
+    """
+    length = len(body)
+    prefixes = lexicon.prefixes
+    words: list[list[str]] = [[] for _ in range(length)]
+    paths = [0] * (length + 1)
+    paths[length] = 1
+    for i in range(length - 1, -1, -1):
+        count = 0
+        for j in range(i + 1, length + 1):
+            word = prefixes.get(body[i:j])
+            if word is None:
+                break
+            if word and paths[j]:
+                words[i].append(word)
+                count += paths[j]
+        paths[i] = 2 if count > 2 else count
+    return words, paths
+
+
 def enumerate_segmentations(
     hashtag: Hashtag | str,
     lexicon: Lexicon,
@@ -75,22 +104,8 @@ def enumerate_segmentations(
         raise InputError(f"max_candidates must be positive, got {max_candidates}")
     body = _as_hashtag(hashtag).normalized
     length = len(body)
-    longest = min(lexicon.max_word_length, length)
-
-    # words[i] = lexicon words starting at position i
-    words: list[list[str]] = [[] for _ in range(length)]
-    for i in range(length):
-        for j in range(i + 1, min(length, i + longest) + 1):
-            piece = body[i:j]
-            if piece in lexicon:
-                words[i].append(piece)
-
-    # positions from which the end of the body is reachable
-    reachable = [False] * (length + 1)
-    reachable[length] = True
-    for i in range(length - 1, -1, -1):
-        reachable[i] = any(reachable[i + len(w)] for w in words[i])
-    if not reachable[0]:
+    words, paths = _lattice(body, lexicon)
+    if not paths[0]:
         return [], False
 
     # Best-first expansion pops complete paths in (token count, tokens)
@@ -103,8 +118,7 @@ def enumerate_segmentations(
             results.append(tokens)
             continue
         for w in words[pos]:
-            if reachable[pos + len(w)]:
-                heapq.heappush(frontier, (count + 1, tokens + (w,), pos + len(w)))
+            heapq.heappush(frontier, (count + 1, tokens + (w,), pos + len(w)))
     truncated = len(results) > max_candidates
     return results[:max_candidates], truncated
 
@@ -117,6 +131,23 @@ def score_segmentation(tokens, bigrams: BigramModel) -> float:
     for prev, cur in zip(tokens, tokens[1:]):
         total += bigrams.log_probability(prev, cur)
     return total
+
+
+def _keep(front: list[tuple[float, tuple[str, ...]]], score: float, tokens: tuple[str, ...]) -> None:
+    """Add a prefix to ``front`` unless another prefix there dominates it.
+
+    A prefix dominates another at the same (end, last word) state when its
+    score is at least as high and its (token count, tokens) key is smaller.
+    Every extension adds the same terms to both scores in the same order,
+    and float addition is monotone, so a dominated prefix can never become
+    the winning split; a prefix with a lower score but a smaller key can,
+    when the extended scores round to a tie.
+    """
+    key = (len(tokens), tokens)
+    if any(s >= score and (len(t), t) < key for s, t in front):
+        return
+    front[:] = [(s, t) for s, t in front if not (score >= s and key < (len(t), t))]
+    front.append((score, tokens))
 
 
 def segment(hashtag: Hashtag | str, lexicon: Lexicon, bigrams: BigramModel) -> SegmentResult:
@@ -133,31 +164,53 @@ def segment(hashtag: Hashtag | str, lexicon: Lexicon, bigrams: BigramModel) -> S
     * none exist (or, with a zero bigram floor, all score -inf) ->
       ``unsegmentable`` with no tokens.
 
-    Only the first ``DEFAULT_MAX_CANDIDATES`` splits in (token count,
-    tokens) order are scored.
+    Every split is considered, without enumerating them: a Viterbi pass
+    runs left to right over (end position, last word) states of the
+    lexicon lattice, where the score of a path is the left-to-right sum
+    :func:`score_segmentation` computes.  Each state keeps the prefixes no
+    other prefix there dominates (see :func:`_keep`), so the result is the
+    exact argmax of the rules above.
     """
     h = _as_hashtag(hashtag)
-    if h.normalized in lexicon:
-        return SegmentResult(h, (h.normalized,), SegmentStatus.EXACT_WORD, 0.0)
+    body = h.normalized
+    if body in lexicon:
+        return SegmentResult(h, (body,), SegmentStatus.EXACT_WORD, 0.0)
 
-    candidates, _ = enumerate_segmentations(h, lexicon, DEFAULT_MAX_CANDIDATES)
-    if not candidates:
+    length = len(body)
+    words, paths = _lattice(body, lexicon)
+    if not paths[0]:
         return SegmentResult(h, (), SegmentStatus.UNSEGMENTABLE, float("-inf"))
-    if len(candidates) == 1:
-        tokens = candidates[0]
-        return SegmentResult(h, tokens, SegmentStatus.UNIQUE, score_segmentation(tokens, bigrams))
+    if paths[0] == 1:
+        # One split: every position on it has exactly one word onward.
+        tokens: list[str] = []
+        pos = 0
+        while pos < length:
+            (w,) = words[pos]
+            tokens.append(w)
+            pos += len(w)
+        return SegmentResult(h, tuple(tokens), SegmentStatus.UNIQUE, score_segmentation(tokens, bigrams))
 
-    # Candidates arrive ordered (fewest tokens, lexicographic); keeping the
-    # first strict maximum realizes exactly that tie-break.
-    best: tuple[str, ...] | None = None
-    best_score = float("-inf")
-    for tokens in candidates:
-        s = score_segmentation(tokens, bigrams)
-        if s > best_score:
-            best, best_score = tokens, s
-    if best is None:  # all paths hit unseen bigrams under a zero floor
+    # states[i][w]: the non-dominated (score, tokens) prefixes that cover
+    # body[:i] and end in the word w.
+    states: list[dict[str, list[tuple[float, tuple[str, ...]]]]] = [{} for _ in range(length + 1)]
+    for w in words[0]:
+        states[len(w)][w] = [(0.0, (w,))]
+    for pos in range(1, length):
+        here = states[pos]
+        if not here:
+            continue
+        for w in words[pos]:
+            front = states[pos + len(w)].setdefault(w, [])
+            for prev, prefixes in here.items():
+                step = bigrams.log_probability(prev, w)
+                for score, tokens in prefixes:
+                    _keep(front, score + step, tokens + (w,))
+    best_score, best = min(
+        (p for front in states[length].values() for p in front), key=lambda p: (-p[0], len(p[1]), p[1])
+    )
+    if best_score == float("-inf"):  # all paths hit unseen bigrams under a zero floor
         return SegmentResult(h, (), SegmentStatus.UNSEGMENTABLE, float("-inf"))
-    return SegmentResult(h, best, SegmentStatus.DISAMBIGUATED, best_score)
+    return SegmentResult(h, best, SegmentStatus.DISAMBIGUATED, score_segmentation(best, bigrams))
 
 
 @dataclass(frozen=True)

@@ -42,10 +42,10 @@ class TestLoadLexicon:
         assert lex.words == {"alpha", "beta"}
         assert lex.skipped_lines == 0
 
-    def test_membership_and_max_length(self, tmp_path):
+    def test_membership_and_prefixes(self, tmp_path):
         lex = load_lexicon(write(tmp_path, "lex.txt", "a\nlonger\n"))
         assert "a" in lex and "b" not in lex
-        assert lex.max_word_length == 6
+        assert lex.prefixes == {"a": "a", "l": "", "lo": "", "lon": "", "long": "", "longe": "", "longer": "longer"}
 
 
 class TestLoadBigrams:

@@ -199,23 +199,41 @@ class TestConfigFile:
 
 
 class TestCliErrors:
-    @pytest.mark.parametrize("case", ["config value", "missing input", "profiles out", "segment out"])
+    @pytest.mark.parametrize(
+        "case",
+        ["config value", "missing input", "profiles out", "segment out", "config not utf-8", "segment in not utf-8"],
+    )
     def test_failure_is_an_error_line(self, case, users_file, tmp_path, capsys):
         corpus = ["--lexicon", str(DATA / "lexicon.txt"), "--bigrams", str(DATA / "bigrams.tsv")]
         config = tmp_path / "bad.cfg"
         config.write_text("k = abc\n", encoding="utf-8")
+        undecodable_config = tmp_path / "latin1.cfg"
+        undecodable_config.write_bytes(b"k = \xe9\n")
         tags = tmp_path / "tags.txt"
         tags.write_text("#chef\n", encoding="utf-8")
+        undecodable_tags = tmp_path / "latin1.txt"
+        undecodable_tags.write_bytes(b"#chef\n#foo\xe9\n")
         blocker = tmp_path / "blocker"  # a file where a directory is needed
         blocker.write_text("", encoding="utf-8")
-        argv = {
-            "config value": ["run-all", "--config", str(config)],
-            "missing input": ["segment", *corpus, "--in", str(tmp_path / "missing.txt")],
-            "profiles out": ["profiles", *corpus, "--in", str(users_file), "--out", str(blocker / "p.tsv")],
-            "segment out": ["segment", *corpus, "--in", str(tags), "--out", str(blocker / "s.tsv")],
+        argv, message = {
+            "config value": (["run-all", "--config", str(config)], "error:"),
+            "missing input": (["segment", *corpus, "--in", str(tmp_path / "missing.txt")], "error:"),
+            "profiles out": (
+                ["profiles", *corpus, "--in", str(users_file), "--out", str(blocker / "p.tsv")],
+                "error:",
+            ),
+            "segment out": (["segment", *corpus, "--in", str(tags), "--out", str(blocker / "s.tsv")], "error:"),
+            "config not utf-8": (
+                ["run-all", "--config", str(undecodable_config)],
+                f"error: stage 'config': cannot read config file {undecodable_config}: ",
+            ),
+            "segment in not utf-8": (
+                ["segment", *corpus, "--in", str(undecodable_tags)],
+                f"error: cannot read hashtags {undecodable_tags}: ",
+            ),
         }[case]
         assert main(argv) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        assert capsys.readouterr().err.startswith(message)
 
 
 class TestClusterStatsCommand:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from tagrec import profiles
 from tagrec.errors import ParseError, ResourceError
 from tagrec.profiles import build_profile, build_profiles, ingest_profiles
 
@@ -90,3 +91,25 @@ class TestBuildProfiles:
         assert [p.id for p in profiles] == ["u1", "u2"]
         assert profiles[0].words == {"worldwide"}
         assert profiles[1].words == frozenset()
+
+    def test_segments_each_distinct_body_once(self, worked_lexicon, worked_bigrams, monkeypatch):
+        # Patched where build_profiles looks it up, as the benchmark's tracer does.
+        segment = profiles.segment
+        calls = []
+
+        def counting_segment(*args):
+            result = segment(*args)
+            calls.append(result.hashtag.normalized)
+            return result
+
+        pairs = [
+            ("u1", ["#WorldWideFestival", "#xqzv", "#tbt2015"]),
+            ("u2", ["worldwidefestival", "#worldwide", "#xqzv"]),
+            ("u3", ["#worldwidefestival", "#XQZV", "#throwbackthursday"]),
+        ]
+        monkeypatch.setattr(profiles, "segment", counting_segment)
+        batch = build_profiles(pairs, worked_lexicon, worked_bigrams)
+        assert sorted(calls) == ["throwbackthursday", "worldwide", "worldwidefestival", "xqzv"]
+        assert batch == [build_profile(user_id, tags, worked_lexicon, worked_bigrams) for user_id, tags in pairs]
+        assert [p.n_unsegmentable for p in batch] == [1, 1, 1]
+        assert [p.n_invalid for p in batch] == [1, 0, 0]

@@ -192,6 +192,71 @@ class TestSegment:
         results = {segment("#throwbackthursday", worked_lexicon, worked_bigrams).tokens for _ in range(5)}
         assert len(results) == 1
 
+    def test_unique_even_when_unscoreable(self):
+        # One split through an unseen bigram under a zero floor stays unique.
+        lx = lex("throw", "back")
+        model = BigramModel({("x", "y"): 1}, floor_prob=0.0)
+        result = segment("#throwback", lx, model)
+        assert result.status is SegmentStatus.UNIQUE
+        assert result.tokens == ("throw", "back")
+        assert result.log_score == float("-inf")
+
+    def test_argmax_past_the_enumeration_cap(self):
+        # 377 splits; the only one scoring 0 has the most tokens, so it lies
+        # past the first DEFAULT_MAX_CANDIDATES in (token count, tokens) order.
+        lx = lex("a", "aa")
+        model = BigramModel({("a", "a"): 1})
+        body = "a" * 13
+        assert enumerate_segmentations(body, lx)[1]
+        result = segment(body, lx, model)
+        assert result.tokens == ("a",) * 13
+        assert result.status is SegmentStatus.DISAMBIGUATED
+        assert result.log_score == 0.0
+
+    def test_prefix_with_lower_sum_wins_a_rounded_tie(self):
+        # (ba, b, bb, bb) sums lower than (ba, bb, b, bb), but both reach
+        # -68.25338534682302 after the last bigram, and then (ba, b, ...)
+        # wins on token order: a state keeping only its best prefix loses it.
+        lx = lex("a", "b", "ba", "bb")
+        model = BigramModel({("b", "bb"): 10, ("a", "bb"): 2187, ("a", "b"): 2187, ("ba", "a"): 2})
+        lower = score_segmentation(("ba", "b", "bb", "bb"), model)
+        assert lower < score_segmentation(("ba", "bb", "b", "bb"), model)
+        result = segment("babbbbbba", lx, model)
+        assert result.tokens == ("ba", "b", "bb", "bb", "ba")
+        assert result.log_score == score_segmentation(("ba", "bb", "b", "bb", "ba"), model)
+
+    @pytest.mark.parametrize("floor", [1e-9, 0.25, 0.0])
+    def test_matches_uncapped_enumeration(self, floor):
+        # Quantised counts over a two-letter alphabet make tied scores common.
+        rng = random.Random(floor)
+        for _ in range(150):
+            pieces = ("".join(rng.choice("ab") for _ in range(rng.randint(1, 3))) for _ in range(rng.randint(2, 6)))
+            vocab = sorted(set(pieces))
+            counts = {(rng.choice(vocab), rng.choice(vocab)): rng.choice([1, 2, 4]) for _ in range(rng.randint(1, 8))}
+            lx, model = lex(*vocab), BigramModel(counts, floor_prob=floor)
+            for _ in range(6):
+                body = "".join(rng.choice("ab") for _ in range(rng.randint(1, 14)))
+                result = segment(body, lx, model)
+                assert (result.tokens, result.status) == documented_rule(body, lx, model), (body, vocab, counts)
+                if result.tokens:
+                    assert result.log_score == score_segmentation(result.tokens, model)
+
+
+def documented_rule(body, lexicon, bigrams):
+    """``(tokens, status)`` by the rules of ``segment``, over every split."""
+    if body in lexicon:
+        return (body,), SegmentStatus.EXACT_WORD
+    splits, truncated = enumerate_segmentations(body, lexicon, max_candidates=1 << 16)
+    assert not truncated
+    if not splits:
+        return (), SegmentStatus.UNSEGMENTABLE
+    if len(splits) == 1:
+        return splits[0], SegmentStatus.UNIQUE
+    best = min(splits, key=lambda tokens: (-score_segmentation(tokens, bigrams), len(tokens), tokens))
+    if score_segmentation(best, bigrams) == float("-inf"):
+        return (), SegmentStatus.UNSEGMENTABLE
+    return best, SegmentStatus.DISAMBIGUATED
+
 
 class TestEvaluate:
     def test_perfect_single_item(self, worked_lexicon, worked_bigrams):
