@@ -58,22 +58,47 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
+class FileHashes:
+    """:func:`sha256_file` digests, each file hashed once while unchanged.
+
+    A digest is reused while the file's path, device, inode, size and
+    mtime are the same.  One pipeline run keeps one memo: a stage replaces
+    its artifact by rename at most once per run, so a rewrite there always
+    shows as a new inode.
+    """
+
+    def __init__(self):
+        self._digests: dict[tuple, str] = {}
+
+    def __call__(self, path) -> str:
+        st = os.stat(path)
+        key = (os.fspath(path), st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+        digest = self._digests.get(key)
+        if digest is None:
+            digest = self._digests[key] = sha256_file(path)
+        return digest
+
+
 def sidecar_path(artifact_path) -> Path:
     return Path(str(artifact_path) + ".meta.json")
 
 
-def write_sidecar(artifact_path, stage: str, params: dict, inputs: dict, elapsed: float) -> None:
+def write_sidecar(
+    artifact_path, stage: str, params: dict, inputs: dict, elapsed: float, hashes: FileHashes | None = None
+) -> None:
+    hashes = hashes or FileHashes()
     meta = {
         "stage": stage,
         "params": params,
-        "inputs": {name: {"path": str(p), "sha256": sha256_file(p)} for name, p in inputs.items()},
-        "output_sha256": sha256_file(artifact_path),
+        "inputs": {name: {"path": str(p), "sha256": hashes(p)} for name, p in inputs.items()},
+        "output_sha256": hashes(artifact_path),
         "elapsed_seconds": round(elapsed, 3),
     }
     atomic_write_text(sidecar_path(artifact_path), json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def stage_is_cached(artifact_path, stage: str, params: dict, inputs: dict) -> bool:
+def stage_is_cached(artifact_path, stage: str, params: dict, inputs: dict, hashes: FileHashes | None = None) -> bool:
+    hashes = hashes or FileHashes()
     artifact_path = Path(artifact_path)
     meta_path = sidecar_path(artifact_path)
     if not artifact_path.exists() or not meta_path.exists():
@@ -88,9 +113,9 @@ def stage_is_cached(artifact_path, stage: str, params: dict, inputs: dict) -> bo
     if set(recorded) != set(inputs):
         return False
     for name, p in inputs.items():
-        if not Path(p).exists() or recorded[name].get("sha256") != sha256_file(p):
+        if not Path(p).exists() or recorded[name].get("sha256") != hashes(p):
             return False
-    return meta.get("output_sha256") == sha256_file(artifact_path)
+    return meta.get("output_sha256") == hashes(artifact_path)
 
 
 # -- artifact writers/readers ------------------------------------------

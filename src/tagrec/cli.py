@@ -115,13 +115,12 @@ def _cmd_cluster_stats(args) -> int:
 
 
 def _cmd_recommend(args) -> int:
-    from tagrec.artifacts import read_clusters_tsv, read_sims_tsv, write_recommendations_tsv
+    from tagrec.artifacts import write_recommendations_tsv
     from tagrec.recommend import recommend, recommend_all
 
     if not args.all and args.target is None:
         raise InputError("recommend needs --target or --all")
-    matrix = read_sims_tsv(args.sims)
-    clustering = read_clusters_tsv(args.clusters)
+    matrix, clustering = pipeline.read_ranking_inputs(args.sims, args.clusters)
     if args.all:
         recs = recommend_all(clustering, matrix, args.top)
     else:

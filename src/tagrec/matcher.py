@@ -10,10 +10,14 @@ depend on argument order, bit for bit.
 Profiles that hold the same word set get the same scores, so the matrix
 build scores each distinct non-empty word set once, in numpy batches:
 
-1. Word table.  ``word_sim`` is called once for each unordered word pair
-   that meets in some grid, and for no other pair, in the calling
-   process.  The answers fill a float64 word x word table with one extra
-   sentinel row and column of -1.
+1. Word table.  A float64 word x word table with one extra sentinel row
+   and column of -1.  With a ``similarity_table`` builder, as the
+   pipeline passes ``Taxonomy.similarity_table``, the builder fills the
+   whole table in one call, for the vocabulary plus one padding word
+   whose row and column then become the sentinel in place, and
+   ``word_sim`` is never called.  Without one, ``word_sim`` is called
+   once for each unordered word pair that meets in some grid, and for no
+   other pair, in the calling process.
 2. Greedy rounds.  A set's grids against a block of later sets (and
    against itself, when two profiles hold it) are gathered from the table
    as one ``(m, rows, cols)`` array, padded with the sentinel, and their
@@ -103,10 +107,11 @@ class _SetScorer:
     ``sets`` are distinct non-empty sorted word tuples in ascending order,
     so set a is the row side of every grid it is scored in.  Only sets
     with ``shared[a]`` true are scored against themselves.  The word table
-    is filled on construction.
+    is filled on construction, by ``similarity_table`` when it is given and
+    by asking ``word_sim`` otherwise.
     """
 
-    def __init__(self, sets: list[tuple[str, ...]], shared, word_sim):
+    def __init__(self, sets: list[tuple[str, ...]], shared, word_sim, similarity_table=None):
         vocab = sorted(set().union(*sets))
         pos = {w: i for i, w in enumerate(vocab)}
         self.shared = shared
@@ -115,7 +120,14 @@ class _SetScorer:
         self.padded = np.full((len(sets), int(self.lengths.max())), len(vocab), dtype=np.intp)
         for a, s in enumerate(sets):
             self.padded[a, : len(s)] = [pos[w] for w in s]
-        self.table = _word_table(vocab, self.padded, self.lengths, shared, word_sim)
+        if similarity_table is None:
+            self.table = _word_table(vocab, self.padded, self.lengths, shared, word_sim)
+        else:
+            # Asking for one word more makes the builder's array the bordered
+            # table itself, with no second V x V copy.
+            self.table = similarity_table([*vocab, ""])
+            self.table[-1, :] = -1.0
+            self.table[:, -1] = -1.0
 
     def columns(self, a: int) -> np.ndarray:
         """The sets that set ``a`` is scored against, ascending."""
@@ -276,14 +288,19 @@ def _scored_chunks(scorer: _SetScorer, chunks, workers: int):
         yield from pool.imap_unordered(_score_rows, chunks)
 
 
-def build_similarity_matrix(profiles, word_sim, workers: int = 1, progress=None) -> SimilarityMatrix:
+def build_similarity_matrix(
+    profiles, word_sim, workers: int = 1, progress=None, *, similarity_table=None
+) -> SimilarityMatrix:
     """Compute all N*(N-1)/2 profile similarities.
 
     Each distinct non-empty word set is scored once against every later
     one, and against itself when two profiles hold it; see the module
-    docstring for the three steps and the memory they take.  ``word_sim``
-    is called only in this process, before any scoring, once for each
-    unordered word pair that some scored grid holds.  With
+    docstring for the three steps and the memory they take.  The word
+    table comes from ``similarity_table`` when it is given: a function
+    from a word list to the (V, V) float64 array of ``word_sim`` over it,
+    called once, and ``word_sim`` itself is not called.  Otherwise
+    ``word_sim`` is called only in this process, before any scoring, once
+    for each unordered word pair that some scored grid holds.  With
     ``workers > 1``, forked processes score contiguous ranges of distinct
     word sets from the finished word table; the result is the same.
     ``progress``, when given, is called with ``(done_pairs, total_pairs)``
@@ -303,7 +320,7 @@ def build_similarity_matrix(profiles, word_sim, workers: int = 1, progress=None)
     scores = np.zeros((d + 1, d + 1), dtype=np.float32)
     if d:
         mult = np.array([counts[s] for s in sets], dtype=np.int64)
-        scorer = _SetScorer(sets, mult > 1, word_sim)
+        scorer = _SetScorer(sets, mult > 1, word_sim, similarity_table)
         # profile pairs whose score each set row settles, for progress
         settled = mult * (mult.sum() - np.cumsum(mult)) + mult * (mult - 1) // 2
         done = 0

@@ -18,7 +18,7 @@ from pathlib import Path
 from tagrec import artifacts
 from tagrec.cluster import DEFAULT_MAX_ITER, k_medoids
 from tagrec.corpus import DEFAULT_FLOOR_PROB, load_bigrams, load_lexicon
-from tagrec.errors import PipelineError, TagrecError
+from tagrec.errors import InputError, PipelineError, TagrecError
 from tagrec.matcher import build_similarity_matrix
 from tagrec.profiles import build_profiles, ingest_profiles
 from tagrec.recommend import recommend_all
@@ -51,7 +51,13 @@ def compute_simmatrix(
     def progress(done, total):
         logger.info("[simmatrix] %d/%d pairs", done, total)
 
-    matrix = build_similarity_matrix(profiles, taxonomy.word_similarity, workers=workers, progress=progress)
+    matrix = build_similarity_matrix(
+        profiles,
+        taxonomy.word_similarity,
+        workers=workers,
+        progress=progress,
+        similarity_table=taxonomy.similarity_table,
+    )
     artifacts.write_sims_tsv(out_path, matrix)
 
 
@@ -61,9 +67,25 @@ def compute_cluster(sims_path, k: int, seed: int, max_iter: int, out_path) -> No
     artifacts.write_clusters_tsv(out_path, clustering, matrix.ids)
 
 
-def compute_recommendations(sims_path, clusters_path, top: int, out_path) -> None:
+def read_ranking_inputs(sims_path, clusters_path):
+    """The matrix and clustering to rank from, checked to hold the same ids."""
     matrix = artifacts.read_sims_tsv(sims_path)
     clustering = artifacts.read_clusters_tsv(clusters_path)
+    scored = set(matrix.ids)
+    unclustered = [pid for pid in matrix.ids if pid not in clustering.assignment]
+    unscored = [pid for pid in clustering.assignment if pid not in scored]
+    if unclustered or unscored:
+        problems = []
+        if unclustered:
+            problems.append(f"id {unclustered[0]!r} of {sims_path} is missing from {clusters_path}")
+        if unscored:
+            problems.append(f"id {unscored[0]!r} of {clusters_path} is missing from {sims_path}")
+        raise InputError("; ".join(problems))
+    return matrix, clustering
+
+
+def compute_recommendations(sims_path, clusters_path, top: int, out_path) -> None:
+    matrix, clustering = read_ranking_inputs(sims_path, clusters_path)
     artifacts.write_recommendations_tsv(out_path, recommend_all(clustering, matrix, top))
 
 
@@ -113,10 +135,12 @@ def _require_files(stage: str, inputs: dict) -> None:
             raise PipelineError(stage, f"required {name} file not found: {p}")
 
 
-def _run_stage(stage: str, out_path: Path, params: dict, inputs: dict, compute, force: bool) -> StageReport:
+def _run_stage(
+    stage: str, out_path: Path, params: dict, inputs: dict, compute, force: bool, hashes: artifacts.FileHashes | None
+) -> StageReport:
     inputs = {name: Path(p) for name, p in inputs.items()}
     _require_files(stage, inputs)
-    if not force and artifacts.stage_is_cached(out_path, stage, params, inputs):
+    if not force and artifacts.stage_is_cached(out_path, stage, params, inputs, hashes):
         logger.info("[%s] cached -> %s", stage, out_path)
         return StageReport(stage=stage, path=out_path, cached=True)
     start = time.perf_counter()
@@ -127,12 +151,12 @@ def _run_stage(stage: str, out_path: Path, params: dict, inputs: dict, compute, 
     except (TagrecError, OSError) as exc:
         raise PipelineError(stage, str(exc)) from exc
     elapsed = time.perf_counter() - start
-    artifacts.write_sidecar(out_path, stage, params, inputs, elapsed)
+    artifacts.write_sidecar(out_path, stage, params, inputs, elapsed, hashes)
     logger.info("[%s] computed in %.2fs -> %s", stage, elapsed, out_path)
     return StageReport(stage=stage, path=out_path, cached=False, elapsed=elapsed)
 
 
-def stage_profiles(cfg: PipelineConfig) -> StageReport:
+def stage_profiles(cfg: PipelineConfig, hashes: artifacts.FileHashes | None = None) -> StageReport:
     out = cfg.out_dir / PROFILES_TSV
     return _run_stage(
         "profiles",
@@ -141,10 +165,11 @@ def stage_profiles(cfg: PipelineConfig) -> StageReport:
         inputs={"users": cfg.users, "lexicon": cfg.lexicon, "bigrams": cfg.bigrams},
         compute=lambda: compute_profiles(cfg.users, cfg.lexicon, cfg.bigrams, cfg.bigram_floor, out),
         force=cfg.force,
+        hashes=hashes,
     )
 
 
-def stage_simmatrix(cfg: PipelineConfig) -> StageReport:
+def stage_simmatrix(cfg: PipelineConfig, hashes: artifacts.FileHashes | None = None) -> StageReport:
     out = cfg.out_dir / SIMS_TSV
     profiles_tsv = cfg.out_dir / PROFILES_TSV
     inputs = {"profiles": profiles_tsv, "synsets": cfg.synsets, "edges": cfg.edges}
@@ -159,10 +184,11 @@ def stage_simmatrix(cfg: PipelineConfig) -> StageReport:
             profiles_tsv, cfg.synsets, cfg.edges, cfg.counts, cfg.ic_cap, cfg.workers, out
         ),
         force=cfg.force,
+        hashes=hashes,
     )
 
 
-def stage_cluster(cfg: PipelineConfig) -> StageReport:
+def stage_cluster(cfg: PipelineConfig, hashes: artifacts.FileHashes | None = None) -> StageReport:
     out = cfg.out_dir / CLUSTERS_TSV
     sims_tsv = cfg.out_dir / SIMS_TSV
     return _run_stage(
@@ -172,10 +198,11 @@ def stage_cluster(cfg: PipelineConfig) -> StageReport:
         inputs={"sims": sims_tsv},
         compute=lambda: compute_cluster(sims_tsv, cfg.k, cfg.seed, cfg.max_iter, out),
         force=cfg.force,
+        hashes=hashes,
     )
 
 
-def stage_recommend(cfg: PipelineConfig) -> StageReport:
+def stage_recommend(cfg: PipelineConfig, hashes: artifacts.FileHashes | None = None) -> StageReport:
     out = cfg.out_dir / RECOMMENDATIONS_TSV
     sims_tsv = cfg.out_dir / SIMS_TSV
     clusters_tsv = cfg.out_dir / CLUSTERS_TSV
@@ -186,15 +213,21 @@ def stage_recommend(cfg: PipelineConfig) -> StageReport:
         inputs={"sims": sims_tsv, "clusters": clusters_tsv},
         compute=lambda: compute_recommendations(sims_tsv, clusters_tsv, cfg.top, out),
         force=cfg.force,
+        hashes=hashes,
     )
 
 
 def run_all(cfg: PipelineConfig) -> list[StageReport]:
-    """Run profiles -> simmatrix -> cluster (-> recommend when ``top`` is set)."""
+    """Run profiles -> simmatrix -> cluster (-> recommend when ``top`` is set).
+
+    The stages share one :class:`~tagrec.artifacts.FileHashes`, so each
+    file version is hashed once per run.
+    """
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    reports = [stage_profiles(cfg), stage_simmatrix(cfg), stage_cluster(cfg)]
+    hashes = artifacts.FileHashes()
+    reports = [stage_profiles(cfg, hashes), stage_simmatrix(cfg, hashes), stage_cluster(cfg, hashes)]
     if cfg.top is not None:
-        reports.append(stage_recommend(cfg))
+        reports.append(stage_recommend(cfg, hashes))
     return reports
 
 

@@ -5,7 +5,8 @@ of a concept's propagated frequency share, where each observation of a
 concept also counts toward every ancestor.  Word similarity takes the
 best score over all sense pairs of the normalized shared-information
 measure (twice the most informative common ancestor over the summed
-concept ICs).
+concept ICs).  :meth:`Taxonomy.similarity_table` computes the same
+scores for a whole word list at once, in numpy.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import logging
 import math
 from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from tagrec.errors import (
     EmptyResourceError,
@@ -176,6 +179,57 @@ class Taxonomy:
         if not senses1 or not senses2:
             return 0.0
         return max(self.lin(s1, s2) for s1 in senses1 for s2 in senses2)
+
+    def similarity_table(self, words) -> np.ndarray:
+        """``word_similarity`` of every pair of ``words``, as a (V, V) float64 array.
+
+        Only the senses of the given words take part.  An ancestor bitmap
+        over those senses gives Resnik as the max IC over shared
+        ancestors, then Lin as ``2 * res / (ic1 + ic2)`` (0 when the sum
+        is 0), then each word pair's cell as the max over its sense pairs.
+        Out-of-taxonomy words score 0 and equal lowercased words 1.  The
+        float64 operations are those of :meth:`word_similarity`, so every
+        cell equals it.  Memory: S x A bits and an S x S Lin block for the
+        S senses of the given words and their A ancestors, plus the V x V
+        table.
+        """
+        lowered = [w.lower() for w in words]
+        table = np.zeros((len(lowered), len(lowered)))
+        known = sorted({w for w in lowered if w in self.word_index})
+        if known:
+            senses = sorted(set().union(*(self.word_index[w] for w in known)))
+            ancestors = sorted(set().union(*(self.ancestors(s) for s in senses)))
+            column = {a: i for i, a in enumerate(ancestors)}
+            bits = np.zeros((len(senses), len(ancestors)), dtype=bool)
+            for i, s in enumerate(senses):
+                bits[i, [column[a] for a in self.ancestors(s)]] = True
+            ic_a = np.array([self.ic[a] for a in ancestors])
+            ic_s = np.array([self.ic[s] for s in senses])
+            lin = np.zeros((len(senses), len(senses)))
+            for i in range(len(senses)):
+                mine = bits[i]
+                res = np.where(bits[:, mine], ic_a[mine], -np.inf).max(axis=1)
+                denom = ic_s[i] + ic_s
+                np.divide(2.0 * res, denom, out=lin[i], where=denom != 0.0)
+            # each known word's sense rows, then the max over sense pairs
+            row = {s: i for i, s in enumerate(senses)}
+            members = [[row[s] for s in self.word_index[w]] for w in known]
+            flat = np.array([i for m in members for i in m], dtype=np.intp)
+            starts = np.cumsum([0] + [len(m) for m in members[:-1]])
+            by_word = np.maximum.reduceat(lin[flat], starts, axis=0)
+            by_word = np.maximum.reduceat(by_word[:, flat], starts, axis=1)
+            index = {w: i for i, w in enumerate(known)}
+            at = [i for i, w in enumerate(lowered) if w in index]
+            of = [index[lowered[i]] for i in at]
+            table[np.ix_(at, at)] = by_word[np.ix_(of, of)]
+        groups: dict[str, list[int]] = {}
+        for i, w in enumerate(lowered):
+            groups.setdefault(w, []).append(i)
+        np.fill_diagonal(table, 1.0)
+        for group in groups.values():
+            if len(group) > 1:
+                table[np.ix_(group, group)] = 1.0
+        return table
 
     def _require(self, sid: str) -> str:
         if sid != VIRTUAL_ROOT and sid not in self.synsets:

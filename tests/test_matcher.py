@@ -269,6 +269,37 @@ class TestBatchedMatrix:
         assert len(asked) == len(set(asked))
         assert set(asked) == grid_pairs
 
+    @pytest.mark.parametrize(
+        "workers, grid_bytes",
+        [(1, matcher.GRID_BYTES), (2, matcher.GRID_BYTES), (1, 2048)],
+        ids=["serial", "two-workers", "small-blocks"],
+    )
+    def test_table_builder_equals_pairwise(self, monkeypatch, workers, grid_bytes):
+        monkeypatch.setattr(matcher, "GRID_BYTES", grid_bytes)
+        rng = random.Random(2424)
+        pool = [f"w{i}" for i in range(14)]
+        base = random_word_sim(rng, pool)
+
+        def quantised(a, b):
+            return round(base(a, b), 1)
+
+        def never(a, b):
+            raise AssertionError("word_sim is not asked when a table builder is given")
+
+        built = []
+
+        def table(words):
+            # cells of words outside every profile are 1, which no grid may read
+            built.append(list(words))
+            return np.array([[quantised(a, b) if {a, b} <= set(pool) else 1.0 for b in words] for a in words])
+
+        distinct = [frozenset(rng.sample(pool, size)) for size in range(9) for _ in range(3)]
+        profiles = [Profile(id=f"p{i}", words=rng.choice(distinct)) for i in range(60)]
+        expected = build_similarity_matrix(profiles, quantised)
+        matrix = build_similarity_matrix(profiles, never, workers=workers, similarity_table=table)
+        assert len(built) == 1
+        assert np.array_equal(matrix.condensed, expected.condensed)
+
     def test_empty_grids_score_zero(self):
         def never(a, b):
             raise AssertionError("no grid holds a word pair")

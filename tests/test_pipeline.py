@@ -1,12 +1,27 @@
 """CLI subcommands, run-all chaining, caching, and atomicity."""
 
 import json
+import os
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from tagrec import artifacts
 from tagrec.cli import main
-from tagrec.pipeline import PipelineConfig, load_config_file, run_all
+from tagrec.corpus import DEFAULT_FLOOR_PROB
+from tagrec.errors import InputError
+from tagrec.matcher import build_similarity_matrix
+from tagrec.pipeline import (
+    PipelineConfig,
+    compute_profiles,
+    compute_recommendations,
+    compute_simmatrix,
+    load_config_file,
+    run_all,
+)
+from tagrec.taxonomy import DEFAULT_IC_CAP, Taxonomy, load_taxonomy
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -283,22 +298,107 @@ class TestRecommendCommand:
         assert code == 1
 
 
+def api_config(users_file, out_dir) -> PipelineConfig:
+    return PipelineConfig(
+        users=users_file,
+        lexicon=DATA / "lexicon.txt",
+        bigrams=DATA / "bigrams.tsv",
+        synsets=DATA / "taxonomy" / "synsets.tsv",
+        edges=DATA / "taxonomy" / "edges.tsv",
+        counts=DATA / "taxonomy" / "counts.tsv",
+        out_dir=out_dir,
+        k=2,
+        seed=7,
+        top=2,
+    )
+
+
 class TestRunAllApi:
     def test_reports(self, users_file, tmp_path):
-        cfg = PipelineConfig(
-            users=users_file,
-            lexicon=DATA / "lexicon.txt",
-            bigrams=DATA / "bigrams.tsv",
-            synsets=DATA / "taxonomy" / "synsets.tsv",
-            edges=DATA / "taxonomy" / "edges.tsv",
-            counts=DATA / "taxonomy" / "counts.tsv",
-            out_dir=tmp_path / "out",
-            k=2,
-            seed=7,
-            top=2,
-        )
+        cfg = api_config(users_file, tmp_path / "out")
         reports = run_all(cfg)
         assert [r.stage for r in reports] == ["profiles", "simmatrix", "cluster", "recommend"]
         assert not any(r.cached for r in reports)
         reports = run_all(cfg)
         assert all(r.cached for r in reports)
+
+    def test_cached_run_hashes_each_file_once(self, users_file, tmp_path, monkeypatch):
+        cfg = api_config(users_file, tmp_path / "out")
+        run_all(cfg)
+        hashed = Counter()
+        sha256_file = artifacts.sha256_file
+
+        def counted(path):
+            hashed[os.fspath(path)] += 1
+            return sha256_file(path)
+
+        monkeypatch.setattr(artifacts, "sha256_file", counted)
+        assert all(r.cached for r in run_all(cfg))
+        inputs = {cfg.users, cfg.lexicon, cfg.bigrams, cfg.synsets, cfg.edges, cfg.counts}
+        outputs = {cfg.out_dir / name for name in ("profiles.tsv", "sims.tsv", "clusters.tsv", "recommendations.tsv")}
+        assert hashed == Counter({os.fspath(p): 1 for p in inputs | outputs})
+
+    def test_input_rewritten_between_runs_recomputes(self, users_file, tmp_path):
+        cfg = api_config(users_file, tmp_path / "out")
+        run_all(cfg)
+        # same size, same inode and the same mtime: only the content differs
+        before = users_file.stat()
+        users_file.write_text(USERS.replace("#chef,", "#band,"), encoding="utf-8")
+        os.utime(users_file, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert users_file.stat().st_size == before.st_size
+        reports = run_all(cfg)
+        assert not reports[0].cached
+        assert "band" in (cfg.out_dir / "profiles.tsv").read_text(encoding="utf-8").splitlines()[0].split()
+
+
+class TestSimmatrixTable:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_taxonomy_path_asks_no_pairs(self, users_file, tmp_path, monkeypatch, workers):
+        taxonomy = DATA / "taxonomy"
+        tax_files = (taxonomy / "synsets.tsv", taxonomy / "edges.tsv", taxonomy / "counts.tsv")
+        profiles_tsv = tmp_path / "profiles.tsv"
+        compute_profiles(users_file, DATA / "lexicon.txt", DATA / "bigrams.tsv", DEFAULT_FLOOR_PROB, profiles_tsv)
+        asked = []
+        word_similarity = Taxonomy.word_similarity
+
+        def counted(self, w1, w2):
+            asked.append((w1, w2))
+            return word_similarity(self, w1, w2)
+
+        monkeypatch.setattr(Taxonomy, "word_similarity", counted)
+        sims = tmp_path / "sims.tsv"
+        compute_simmatrix(profiles_tsv, *tax_files, DEFAULT_IC_CAP, workers, sims)
+        assert asked == []
+
+        pairwise = tmp_path / "pairwise.tsv"
+        profiles = artifacts.read_profiles_tsv(profiles_tsv)
+        artifacts.write_sims_tsv(pairwise, build_similarity_matrix(profiles, load_taxonomy(*tax_files).word_similarity))
+        assert asked  # the pairwise adapter did ask word_similarity
+        assert sims.read_bytes() == pairwise.read_bytes()
+
+
+class TestRankingInputs:
+    @pytest.fixture
+    def out_dir(self, users_file, tmp_path):
+        out_dir = tmp_path / "out"
+        assert main(base_args(users_file, out_dir)) == 0
+        return out_dir
+
+    def test_cluster_id_missing_from_sims(self, out_dir, tmp_path):
+        clusters = out_dir / "clusters.tsv"
+        with clusters.open("a", encoding="utf-8") as fh:
+            fh.write("ghost\t2\tghost\n")  # in a cluster of its own
+        sims = out_dir / "sims.tsv"
+        message = f"id 'ghost' of {clusters} is missing from {sims}"
+        with pytest.raises(InputError, match="^" + re.escape(message) + "$"):
+            compute_recommendations(sims, clusters, 2, tmp_path / "recs.tsv")
+
+    def test_sims_id_missing_from_clusters(self, out_dir, tmp_path):
+        clusters = out_dir / "clusters.tsv"
+        rows = clusters.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert [r.split("\t")[0] for r in rows] == ["a1", "a2", "a3", "b1", "b2", "b3"]
+        clusters.write_text(rows[0] + "".join(rows[2:5]), encoding="utf-8")  # drop a2 and b3
+        sims = out_dir / "sims.tsv"
+        message = f"id 'a2' of {sims} is missing from {clusters}"
+        with pytest.raises(InputError, match="^" + re.escape(message) + "$"):
+            compute_recommendations(sims, clusters, 2, tmp_path / "recs.tsv")
