@@ -115,7 +115,7 @@ def _cmd_cluster_stats(args) -> int:
 
 
 def _cmd_recommend(args) -> int:
-    from tagrec.artifacts import write_recommendations_tsv
+    from tagrec.artifacts import recommendation_lines, write_recommendations_tsv
     from tagrec.recommend import recommend, recommend_all
 
     if not args.all and args.target is None:
@@ -128,9 +128,7 @@ def _cmd_recommend(args) -> int:
     if args.out:
         write_recommendations_tsv(args.out, recs)
     else:
-        for rec in recs:
-            for rank, (candidate, sim) in enumerate(rec.items, start=1):
-                print(f"{rec.target}\t{rank}\t{candidate}\t{sim:.6f}")
+        sys.stdout.writelines(recommendation_lines(recs))
     return 0
 
 

@@ -33,9 +33,6 @@ class Clustering:
     iterations: int | None = None
     cost_trace: tuple[float, ...] = ()
 
-    def members(self, cluster: int) -> list[str]:
-        return [pid for pid, c in self.assignment.items() if c == cluster]
-
 
 def _assign(matrix: SimilarityMatrix, medoid_idx: list[int]) -> tuple[np.ndarray, float]:
     """Nearest-medoid assignment; medoids always claim themselves.

@@ -226,17 +226,24 @@ class SimilarityMatrix:
             out[j + 1 :] = self.condensed[base : base + (n - j - 1)]
         return 1.0 - out
 
+    def block(self, rows, cols) -> np.ndarray:
+        """float32 similarities from the profiles at indices ``rows`` (axis
+        0) to those at ``cols`` (axis 1); a cell of one profile with itself
+        is 1."""
+        rows = np.asarray(rows, dtype=np.intp)[:, None]
+        cols = np.asarray(cols, dtype=np.intp)[None, :]
+        if self.condensed.size == 0:  # at most one profile
+            return np.ones((rows.size, cols.size), dtype=np.float32)
+        lo = np.minimum(rows, cols)
+        hi = np.maximum(rows, cols)
+        # Cells with lo == hi get a bogus condensed index; they are overwritten below.
+        sims = self.condensed[self._k(lo, hi)]
+        sims[lo == hi] = 1.0
+        return sims
+
     def pairwise_distances(self, indices) -> np.ndarray:
         """Square 1 - similarity matrix over the given profile indices."""
-        idx = np.asarray(indices, dtype=np.int64)
-        if self.condensed.size == 0:
-            return np.zeros((idx.size, idx.size), dtype=np.float64)
-        lo = np.minimum.outer(idx, idx)
-        hi = np.maximum.outer(idx, idx)
-        # Diagonal cells get a bogus condensed index; they are overwritten below.
-        dist = 1.0 - self.condensed[self._k(lo, hi)].astype(np.float64)
-        np.fill_diagonal(dist, 0.0)
-        return dist
+        return 1.0 - self.block(indices, indices).astype(np.float64)
 
     def iter_pairs(self):
         """Yield ``(id_i, id_j, sim)`` for every i < j in storage order,

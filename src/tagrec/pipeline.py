@@ -61,15 +61,21 @@ def compute_simmatrix(
     artifacts.write_sims_tsv(out_path, matrix)
 
 
-def compute_cluster(sims_path, k: int, seed: int, max_iter: int, out_path) -> None:
-    matrix = artifacts.read_sims_tsv(sims_path)
+def compute_cluster(
+    sims_path, k: int, seed: int, max_iter: int, out_path, hashes: artifacts.FileHashes | None = None
+) -> None:
+    matrix = (hashes or artifacts.FileHashes()).sims(sims_path)
     clustering = k_medoids(matrix, k=k, seed=seed, max_iter=max_iter)
     artifacts.write_clusters_tsv(out_path, clustering, matrix.ids)
 
 
-def read_ranking_inputs(sims_path, clusters_path):
-    """The matrix and clustering to rank from, checked to hold the same ids."""
-    matrix = artifacts.read_sims_tsv(sims_path)
+def read_ranking_inputs(sims_path, clusters_path, hashes: artifacts.FileHashes | None = None):
+    """The matrix and clustering to rank from, checked to hold the same ids.
+
+    With the run's ``hashes``, a ``sims.tsv`` it has parsed already is not
+    parsed again.
+    """
+    matrix = (hashes or artifacts.FileHashes()).sims(sims_path)
     clustering = artifacts.read_clusters_tsv(clusters_path)
     scored = set(matrix.ids)
     unclustered = [pid for pid in matrix.ids if pid not in clustering.assignment]
@@ -84,8 +90,10 @@ def read_ranking_inputs(sims_path, clusters_path):
     return matrix, clustering
 
 
-def compute_recommendations(sims_path, clusters_path, top: int, out_path) -> None:
-    matrix, clustering = read_ranking_inputs(sims_path, clusters_path)
+def compute_recommendations(
+    sims_path, clusters_path, top: int, out_path, hashes: artifacts.FileHashes | None = None
+) -> None:
+    matrix, clustering = read_ranking_inputs(sims_path, clusters_path, hashes)
     artifacts.write_recommendations_tsv(out_path, recommend_all(clustering, matrix, top))
 
 
@@ -196,7 +204,7 @@ def stage_cluster(cfg: PipelineConfig, hashes: artifacts.FileHashes | None = Non
         out,
         params={"k": cfg.k, "seed": cfg.seed, "max_iter": cfg.max_iter},
         inputs={"sims": sims_tsv},
-        compute=lambda: compute_cluster(sims_tsv, cfg.k, cfg.seed, cfg.max_iter, out),
+        compute=lambda: compute_cluster(sims_tsv, cfg.k, cfg.seed, cfg.max_iter, out, hashes),
         force=cfg.force,
         hashes=hashes,
     )
@@ -211,7 +219,7 @@ def stage_recommend(cfg: PipelineConfig, hashes: artifacts.FileHashes | None = N
         out,
         params={"top": cfg.top},
         inputs={"sims": sims_tsv, "clusters": clusters_tsv},
-        compute=lambda: compute_recommendations(sims_tsv, clusters_tsv, cfg.top, out),
+        compute=lambda: compute_recommendations(sims_tsv, clusters_tsv, cfg.top, out, hashes),
         force=cfg.force,
         hashes=hashes,
     )
@@ -221,7 +229,9 @@ def run_all(cfg: PipelineConfig) -> list[StageReport]:
     """Run profiles -> simmatrix -> cluster (-> recommend when ``top`` is set).
 
     The stages share one :class:`~tagrec.artifacts.FileHashes`, so each
-    file version is hashed once per run.
+    file version is hashed once per run and ``sims.tsv`` is parsed at most
+    once: by the cluster stage when it runs (in a cold run, the file the
+    simmatrix stage just wrote), and reused by the recommend stage.
     """
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     hashes = artifacts.FileHashes()

@@ -1,14 +1,25 @@
 """Artifact IO: atomic writes, sidecars, and reader validation."""
 
+import gc
+import json
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from tagrec import artifacts
-from tagrec.errors import ParseError
+from tagrec.corpus import DEFAULT_FLOOR_PROB
+from tagrec.errors import InputError, ParseError
 from tagrec.matcher import SimilarityMatrix
+from tagrec.pipeline import compute_profiles, compute_simmatrix
 from tagrec.profiles import Profile
+from tagrec.taxonomy import DEFAULT_IC_CAP
 
 from conftest import two_blob_matrix
+from test_acceptance import make_synthetic_users
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 class TestAtomicWrite:
@@ -23,6 +34,24 @@ class TestAtomicWrite:
         path = tmp_path / "deep" / "nested" / "x.tsv"
         artifacts.atomic_write_text(path, "ok\n")
         assert path.read_text() == "ok\n"
+
+    def test_writes_chunks(self, tmp_path):
+        path = tmp_path / "x.tsv"
+        artifacts.atomic_write_text(path, (f"{i}\n" for i in range(3)))
+        assert path.read_text() == "0\n1\n2\n"
+
+    def test_failing_chunk_leaves_old_file(self, tmp_path):
+        path = tmp_path / "x.tsv"
+        artifacts.atomic_write_text(path, "old\n")
+
+        def chunks():
+            yield "new\n"
+            raise InputError("stop")
+
+        with pytest.raises(InputError):
+            artifacts.atomic_write_text(path, chunks())
+        assert path.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestSidecar:
@@ -50,6 +79,19 @@ class TestSidecar:
         artifacts.write_tsv(out, [("a", 1)])
         artifacts.write_sidecar(out, "stage", {"k": 2}, {"in": inp}, 0.1)
         assert not artifacts.stage_is_cached(out, "stage", {"k": 3}, {"in": inp})
+
+    def test_code_change_invalidates(self, tmp_path):
+        out, inp = tmp_path / "out.tsv", tmp_path / "in.tsv"
+        inp.write_text("data\n")
+        artifacts.write_tsv(out, [("a", 1)])
+        artifacts.write_sidecar(out, "stage", {"k": 2}, {"in": inp}, 0.1)
+        meta_path = artifacts.sidecar_path(out)
+        meta = json.loads(meta_path.read_text())
+        assert meta["code_sha256"] == artifacts.code_sha256()
+        assert meta["params"] == {"k": 2}
+        meta["code_sha256"] = "0" * 64
+        meta_path.write_text(json.dumps(meta))
+        assert not artifacts.stage_is_cached(out, "stage", {"k": 2}, {"in": inp})
 
     def test_tampered_output_invalidates(self, tmp_path):
         out, inp = tmp_path / "out.tsv", tmp_path / "in.tsv"
@@ -152,6 +194,124 @@ class TestSimsRoundTrip:
         assert path.read_text() == "a\tb\t0.584500\n"
 
 
+def matrix_of(values, ids=None) -> SimilarityMatrix:
+    """The smallest matrix holding ``values`` first, then zeros."""
+    values = np.asarray(values, dtype=np.float32)
+    n = 1
+    while n * (n - 1) // 2 < values.size:
+        n += 1
+    condensed = np.zeros(n * (n - 1) // 2, dtype=np.float32)
+    condensed[: values.size] = values
+    return SimilarityMatrix(ids[:n] if ids else [f"u{i}" for i in range(n)], condensed)
+
+
+def format_reference(matrix: SimilarityMatrix) -> str:
+    """``sims.tsv`` as the per-row ``"{:.6f}"`` writer made it."""
+    return "".join(f"{a}\t{b}\t{s:.6f}\n" for a, b, s in matrix.iter_pairs())
+
+
+class TestSimsWriter:
+    TIES = np.arange(129, dtype=np.float32) / np.float32(128)  # every k/128: odd k end in 5 at the 7th decimal
+
+    def assert_same_bytes(self, tmp_path, matrix: SimilarityMatrix) -> None:
+        path = tmp_path / "sims.tsv"
+        artifacts.write_sims_tsv(path, matrix)
+        assert path.read_bytes() == format_reference(matrix).encode()
+
+    def test_format_matches_reference(self):
+        rng = np.random.default_rng(7)
+        values = np.concatenate(
+            [
+                rng.random(200_000, dtype=np.float32),
+                self.TIES,
+                np.nextafter(self.TIES, np.float32(0)),
+                np.nextafter(self.TIES, np.float32(1)),
+                np.array([0.0, 1.0, 0.5845, 1e-7, 4.9999997e-7, 5e-7, 0.9999995], dtype=np.float32),
+            ]
+        )
+        values = values[(values >= 0) & (values <= 1)]
+        got = artifacts.format_sims(values).tolist()
+        assert got == [f"\t{v:.6f}\n".encode() for v in values.tolist()]
+
+    def test_python_floats_of_float32_values(self):
+        values = self.TIES.tolist()
+        assert artifacts.format_sims(values).tolist() == [f"\t{v:.6f}\n".encode() for v in values]
+
+    def test_same_bytes_as_reference(self, tmp_path):
+        rng = np.random.default_rng(11)
+        for matrix in [
+            matrix_of(rng.random(4000, dtype=np.float32)),
+            matrix_of(self.TIES),
+            matrix_of([0.0, 1.0, 0.0]),
+            two_blob_matrix(),
+            reversed_ids_matrix(2),
+        ]:
+            self.assert_same_bytes(tmp_path, matrix)
+
+    def test_non_ascii_ids(self, tmp_path):
+        ids = ["zoë", "日本語", "u\U0001F642", "#tag", "ascii", "Ω"]
+        matrix = matrix_of(np.linspace(0, 1, 15, dtype=np.float32), ids)
+        self.assert_same_bytes(tmp_path, matrix)
+        assert artifacts.read_sims_tsv(tmp_path / "sims.tsv").ids == ids
+
+    def test_no_pairs(self, tmp_path):
+        for ids in ([], ["solo"]):
+            path = tmp_path / "sims.tsv"
+            artifacts.write_sims_tsv(path, SimilarityMatrix(ids, np.zeros(0, dtype=np.float32)))
+            assert path.read_bytes() == b""
+
+    @pytest.mark.parametrize("bad", [-0.0, -1e-9, 1.0000001, float("nan"), float("inf")])
+    def test_unwritable_value_rejected(self, tmp_path, bad):
+        matrix = matrix_of([0.5, bad, 0.25])
+        path = tmp_path / "sims.tsv"
+        with pytest.raises(InputError, match="similarity out of range"):
+            artifacts.write_sims_tsv(path, matrix)
+        assert not path.exists()
+
+    def test_peak_memory_of_acceptance_matrix(self, tmp_path):
+        users, profiles, sims = tmp_path / "users.tsv", tmp_path / "profiles.tsv", tmp_path / "sims.tsv"
+        make_synthetic_users(users)
+        compute_profiles(users, DATA / "lexicon.txt", DATA / "bigrams.tsv", DEFAULT_FLOOR_PROB, profiles)
+        taxonomy = DATA / "taxonomy"
+        tax_files = (taxonomy / "synsets.tsv", taxonomy / "edges.tsv", taxonomy / "counts.tsv")
+        compute_simmatrix(profiles, *tax_files, DEFAULT_IC_CAP, 1, sims)
+        matrix = artifacts.read_sims_tsv(sims)
+        assert matrix.n == 500
+        gc.collect()
+        tracemalloc.start()
+        try:
+            artifacts.write_sims_tsv(tmp_path / "again.tsv", matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "again.tsv").read_bytes() == sims.read_bytes()
+        # 124,750 pairs: the per-row "{:.6f}" writer peaked at 13.6 MB, the
+        # block writer at 2.6 MB (10 bytes of digits per pair plus one block).
+        assert peak < 5 * 2**20
+
+
+class TestSimsMemo:
+    def test_parsed_once_per_file_version(self, tmp_path, monkeypatch):
+        path = tmp_path / "sims.tsv"
+        artifacts.write_sims_tsv(path, two_blob_matrix())
+        parsed = []
+        read_sims_tsv = artifacts.read_sims_tsv
+
+        def counted(p):
+            parsed.append(p)
+            return read_sims_tsv(p)
+
+        monkeypatch.setattr(artifacts, "read_sims_tsv", counted)
+        memo = artifacts.FileHashes()
+        first = memo.sims(path)
+        assert memo.sims(path) is first
+        assert len(parsed) == 1
+        artifacts.write_sims_tsv(path, two_blob_matrix().scaled(0.5))
+        second = memo.sims(path)
+        assert len(parsed) == 2
+        assert np.array_equal(second.condensed, first.condensed * np.float32(0.5))
+
+
 class TestProfilesRoundTrip:
     def test_words_sorted_deterministically(self, tmp_path):
         profiles = [Profile(id="u1", words=frozenset({"zebra", "apple", "mango"}))]
@@ -196,4 +356,19 @@ class TestClustersRoundTrip:
         path = tmp_path / "clusters.tsv"
         path.write_text("a\t0\ta\nb\t2\tb\n")
         with pytest.raises(ParseError):
+            artifacts.read_clusters_tsv(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a\t0\ta\nb\t1\tzzz\nc\t1\tzzz\n", "medoid 'zzz' of cluster 1 has no row"),
+            ("a\t0\ta\nb\t1\ta\n", "medoid 'a' of cluster 1 is assigned to cluster 0"),
+            ("a\t0\tb\nb\t1\tb\n", "medoid 'b' of cluster 0 is assigned to cluster 1"),
+        ],
+        ids=["no row", "medoid of two clusters", "assigned elsewhere"],
+    )
+    def test_impossible_medoid_rejected(self, tmp_path, text, message):
+        path = tmp_path / "clusters.tsv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=message):
             artifacts.read_clusters_tsv(path)

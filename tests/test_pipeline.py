@@ -351,6 +351,41 @@ class TestRunAllApi:
         assert "band" in (cfg.out_dir / "profiles.tsv").read_text(encoding="utf-8").splitlines()[0].split()
 
 
+    def test_sims_parsed_once_per_computing_run(self, users_file, tmp_path, monkeypatch):
+        cfg = api_config(users_file, tmp_path / "out")
+        parsed = []
+        read_sims_tsv = artifacts.read_sims_tsv
+
+        def counted(path):
+            parsed.append(path)
+            return read_sims_tsv(path)
+
+        monkeypatch.setattr(artifacts, "read_sims_tsv", counted)
+        cold = run_all(cfg)
+        assert [r.cached for r in cold] == [False] * 4
+        assert parsed == [cfg.out_dir / "sims.tsv"]
+        cfg.k, cfg.seed = 3, 8
+        retune = run_all(cfg)
+        assert [r.cached for r in retune] == [True, True, False, False]
+        assert len(parsed) == 2
+        assert all(r.cached for r in run_all(cfg))
+        assert len(parsed) == 2
+
+    def test_edited_code_digest_recomputes_stage(self, users_file, tmp_path):
+        cfg = api_config(users_file, tmp_path / "out")
+        run_all(cfg)
+        meta_path = cfg.out_dir / "sims.tsv.meta.json"
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        assert meta["code_sha256"] == artifacts.code_sha256()
+        meta["code_sha256"] = "0" * 64
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        reports = run_all(cfg)
+        # the same bytes come out again, so the stages after it stay cached
+        assert [r.cached for r in reports] == [True, False, True, True]
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        assert meta["code_sha256"] == artifacts.code_sha256()
+
+
 class TestSimmatrixTable:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_taxonomy_path_asks_no_pairs(self, users_file, tmp_path, monkeypatch, workers):
@@ -397,7 +432,8 @@ class TestRankingInputs:
         clusters = out_dir / "clusters.tsv"
         rows = clusters.read_text(encoding="utf-8").splitlines(keepends=True)
         assert [r.split("\t")[0] for r in rows] == ["a1", "a2", "a3", "b1", "b2", "b3"]
-        clusters.write_text(rows[0] + "".join(rows[2:5]), encoding="utf-8")  # drop a2 and b3
+        # drop a2 and b2; the medoids a3 and b3 keep their rows, or the file itself is invalid
+        clusters.write_text(rows[0] + "".join(rows[2:4]) + rows[5], encoding="utf-8")
         sims = out_dir / "sims.tsv"
         message = f"id 'a2' of {sims} is missing from {clusters}"
         with pytest.raises(InputError, match="^" + re.escape(message) + "$"):
