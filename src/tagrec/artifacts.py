@@ -13,7 +13,10 @@ file in chunks instead of building the whole file in memory.
 reader accepts that order only.  Its writer formats every similarity at
 once in numpy (:func:`format_sims`, the one implementation of the
 6-decimal format, shared with ``recommendations.tsv``) and emits each
-``ids[i]`` block of rows as one chunk.
+``ids[i]`` block of rows as one chunk.  Its reader checks and decodes
+blocks of about 64 KiB of whole lines in numpy; a file it does not load
+itself (a bad row, a ``\\r``, a blank line) is read again by a row loop,
+which names the first bad row in its error.
 
 One pipeline run keeps one :class:`FileHashes`: it hashes each file
 version once and parses each ``sims.tsv`` version once, so the stages
@@ -32,6 +35,7 @@ from array import array
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from tagrec.cluster import Clustering
 from tagrec.errors import InputError, ParseError
@@ -224,15 +228,180 @@ def write_sims_tsv(path, matrix: SimilarityMatrix) -> None:
     atomic_write_text(path, chunks())
 
 
+SIMS_READ_BLOCK = 1 << 16  # bytes read per block by read_sims_tsv; whole lines of them are checked at once
+_MICROS = np.array([1e6, 0, 1e5, 1e4, 1e3, 100, 10, 1])  # place value of each byte of a "D.DDDDDD" cell
+
+
 def read_sims_tsv(path) -> SimilarityMatrix:
-    """Rebuild a :class:`SimilarityMatrix` from its TSV in one streaming pass.
+    """Rebuild a :class:`SimilarityMatrix` from its TSV.
 
     Rows must come in storage order, the order of
     ``itertools.combinations(ids, 2)`` that :func:`write_sims_tsv` emits.
+    The first id's rows name the ids.  The file is then read from the
+    start in blocks of about ``SIMS_READ_BLOCK`` bytes of whole lines, and
+    each block is checked and decoded in numpy, with no Python step per
+    row: every line holds two tabs, its two ids are, byte for byte, the
+    next pair of that order, and its value goes straight into the float32
+    condensed array.  A ``D.DDDDDD`` cell is decoded from its digits
+    (``micros / 1e6`` is the double ``float()`` returns); any other cell
+    is parsed by ``float()``.  Values must lie in [0, 1], and the file
+    must end after the last pair.  Beyond the matrix, it holds one block
+    and the numpy temporaries of one block.
+
+    A file that fails any check, or holds a ``\\r`` or a blank line, is
+    read again from the start by the row loop :func:`_read_sims_rows`,
+    which names the first bad row in its :class:`ParseError`, and also
+    loads the CRLF files and blank lines that the block reader leaves to it.
+    """
+    matrix = _read_sims_blocks(path)
+    return _read_sims_rows(path) if matrix is None else matrix
+
+
+def _read_sims_blocks(path) -> SimilarityMatrix | None:
+    """The block reader of :func:`read_sims_tsv`; ``None`` for any file
+    it does not load exactly as :func:`_read_sims_rows` would."""
+    try:
+        with open(path, "rb") as fh:
+            encoded = _first_id_pairs(fh)
+            if encoded is None:
+                return None
+            decoder = _BlockDecoder(encoded)
+            fh.seek(0)
+            for block in _line_blocks(fh):
+                if b"\r" in block or not decoder.decode(block):
+                    return None
+    except (OSError, UnicodeDecodeError):
+        return None
+    return decoder.matrix if decoder.done == decoder.matrix.condensed.size else None
+
+
+def _first_id_pairs(fh) -> list[bytes] | None:
+    """The encoded ids named by the first id's rows, or ``None`` when
+    those rows are malformed or repeat an id."""
+    ids: list[bytes] = []
+    for line in fh:
+        fields = line.rstrip(b"\n").split(b"\t")
+        if len(fields) != 3:
+            return None
+        a, b, _ = fields
+        if not ids:
+            ids.append(a)
+        elif a != ids[0]:
+            break
+        ids.append(b)
+    return ids if len(set(ids)) == len(ids) else None
+
+
+def _line_blocks(fh):
+    """The file's bytes in blocks of whole lines, each ending in ``\\n``,
+    the last line given one if it has none."""
+    carry = b""
+    while chunk := fh.read(SIMS_READ_BLOCK):
+        block = carry + chunk
+        end = block.rfind(b"\n") + 1
+        carry = block[end:]
+        if end:
+            yield block[:end]
+    if carry:
+        yield carry + b"\n"
+
+
+def _fields_match(buf: np.ndarray, starts, lengths, ref: np.ndarray, ref_starts) -> bool:
+    """Whether each field ``buf[starts[r] : starts[r] + lengths[r]]`` holds
+    the bytes of ``ref`` from ``ref_starts[r]``, compared in one gather."""
+    pos = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    pos += np.arange(pos.size)
+    ref_pos = np.repeat(ref_starts - starts, lengths)
+    ref_pos += pos
+    return np.array_equal(buf[pos], ref[ref_pos])
+
+
+class _BlockDecoder:
+    """Checks blocks of ``sims.tsv`` lines against the storage order of
+    one id list and decodes their values into ``matrix.condensed``."""
+
+    def __init__(self, encoded: list[bytes]):
+        n = len(encoded)
+        self.matrix = SimilarityMatrix(
+            [pid.decode() for pid in encoded], np.empty(n * (n - 1) // 2, dtype=np.float32)
+        )
+        self.ids = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+        self.id_lengths = np.array([len(pid) for pid in encoded], dtype=np.intp)
+        self.id_starts = np.cumsum(self.id_lengths) - self.id_lengths
+        # condensed index of each pair (i, i + 1); the last entry is the pair count
+        self.row_starts = self.matrix._k(np.arange(n), np.arange(1, n + 1))
+        self.done = 0  # pairs read so far
+
+    def decode(self, block: bytes) -> bool:
+        """Check the lines of ``block`` as the next pairs and store their
+        values; ``False`` if any check fails."""
+        buf = np.frombuffer(block, dtype=np.uint8)
+        ends = np.flatnonzero(buf == ord("\n"))
+        tabs = np.flatnonzero(buf == ord("\t"))
+        rows = ends.size
+        if tabs.size != 2 * rows or self.done + rows > self.matrix.condensed.size:
+            return False
+        tab1, tab2 = tabs[0::2], tabs[1::2]
+        starts = np.concatenate(([0], ends[:-1] + 1))
+
+        # Row r's ids run from its line start to tab1[r] and on to tab2[r].
+        # An id holds no tab or newline, so once both match, every line
+        # holds exactly two of the 2 * rows tabs: a blank line never passes.
+        k = np.arange(self.done, self.done + rows)
+        i = np.searchsorted(self.row_starts, k, side="right") - 1
+        j = i + 1 + (k - self.row_starts[i])
+        first, second = tab1 - starts, tab2 - tab1 - 1
+        if not (
+            np.array_equal(first, self.id_lengths[i])
+            and np.array_equal(second, self.id_lengths[j])
+            and _fields_match(buf, starts, first, self.ids, self.id_starts[i])
+            and _fields_match(buf, tab1 + 1, second, self.ids, self.id_starts[j])
+        ):
+            return False
+
+        out = self.matrix.condensed[self.done : self.done + rows]
+        cell_starts = tab2 + 1
+        if not _decode_values(block, buf, cell_starts, ends, out):
+            return False
+        self.done += rows
+        return True
+
+
+def _decode_values(block: bytes, buf: np.ndarray, cell_starts, ends, out: np.ndarray) -> bool:
+    """Store the value cell ``block[cell_starts[r] : ends[r]]`` of each row
+    in ``out[r]``; ``False`` if one is not a number in [0, 1]."""
+    fixed = np.flatnonzero(ends - cell_starts == 8)
+    cells = sliding_window_view(buf, 8)[cell_starts[fixed]]
+    point = cells[:, 1] == ord(".")
+    cells[:, 1] = ord("0")
+    digits = cells - np.uint8(ord("0"))  # a non-digit wraps above 9
+    canonical = point & (digits <= 9).all(axis=1)
+    micros = (digits @ _MICROS)[canonical]  # exact: float64 holds every integer of 7 digits
+    if (micros > 1_000_000).any():
+        return False
+    # micros / 1e6 is the correctly rounded double, the one float() returns
+    decoded = fixed[canonical]
+    out[decoded] = micros / 1e6
+    others = np.ones(out.size, dtype=bool)
+    others[decoded] = False
+    for r in np.flatnonzero(others).tolist():
+        try:
+            value = float(block[cell_starts[r] : ends[r]].decode())
+        except ValueError:  # UnicodeDecodeError is one
+            return False
+        if not 0.0 <= value <= 1.0:
+            return False
+        out[r] = value
+    return True
+
+
+def _read_sims_rows(path) -> SimilarityMatrix:
+    """The row loop of :func:`read_sims_tsv`, one Python step per row.
+
     The first id's rows name the ids; every later row must be the next
-    pair of that order, so a missing, repeated, swapped, self or extra pair
-    fails at the first row out of place.  Values go straight into a float32
-    buffer, with no Python object kept per row.
+    pair of the storage order, so a missing, repeated, swapped, self or
+    extra pair fails at the first row out of place.  Values go into a
+    float32 buffer, with no Python object kept per row.
     """
     ids: list[str] = []
     seen: set[str] = set()

@@ -229,21 +229,26 @@ class SimilarityMatrix:
     def block(self, rows, cols) -> np.ndarray:
         """float32 similarities from the profiles at indices ``rows`` (axis
         0) to those at ``cols`` (axis 1); a cell of one profile with itself
-        is 1."""
+        is 1.  At most 12 bytes per cell are held at once: the intp
+        condensed index and the float32 result."""
         rows = np.asarray(rows, dtype=np.intp)[:, None]
         cols = np.asarray(cols, dtype=np.intp)[None, :]
         if self.condensed.size == 0:  # at most one profile
             return np.ones((rows.size, cols.size), dtype=np.float32)
-        lo = np.minimum(rows, cols)
-        hi = np.maximum(rows, cols)
-        # Cells with lo == hi get a bogus condensed index; they are overwritten below.
-        sims = self.condensed[self._k(lo, hi)]
-        sims[lo == hi] = 1.0
+        # _k(lo, hi) is hi plus _k(lo, 0), built in place in one array.  A
+        # cell with rows == cols gets _k(i, i), in range (-1 wraps to the
+        # last entry); it is overwritten below.
+        index = np.maximum(rows, cols)
+        np.add(index, self._k(rows, 0), out=index, where=rows <= cols)
+        np.add(index, self._k(cols, 0), out=index, where=rows > cols)
+        sims = self.condensed[index]
+        del index
+        sims[rows == cols] = 1.0
         return sims
 
     def pairwise_distances(self, indices) -> np.ndarray:
         """Square 1 - similarity matrix over the given profile indices."""
-        return 1.0 - self.block(indices, indices).astype(np.float64)
+        return np.subtract(1.0, self.block(indices, indices), dtype=np.float64)
 
     def iter_pairs(self):
         """Yield ``(id_i, id_j, sim)`` for every i < j in storage order,

@@ -10,7 +10,7 @@ import pytest
 
 from tagrec import artifacts
 from tagrec.corpus import DEFAULT_FLOOR_PROB
-from tagrec.errors import InputError, ParseError
+from tagrec.errors import InputError, ParseError, ResourceError
 from tagrec.matcher import SimilarityMatrix
 from tagrec.pipeline import compute_profiles, compute_simmatrix
 from tagrec.profiles import Profile
@@ -288,6 +288,190 @@ class TestSimsWriter:
         # 124,750 pairs: the per-row "{:.6f}" writer peaked at 13.6 MB, the
         # block writer at 2.6 MB (10 bytes of digits per pair plus one block).
         assert peak < 5 * 2**20
+        gc.collect()
+        tracemalloc.start()
+        try:
+            again = artifacts.read_sims_tsv(sims)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(again.condensed, matrix.condensed)
+        # the 0.5 MB float32 matrix plus one block's temporaries, not a 3.1 MB file
+        assert peak < 3 * 2**20
+
+
+def read_outcome(reader, path):
+    """What ``reader`` makes of ``path``: the ids and the condensed bytes,
+    or the kind, line and text of its error."""
+    try:
+        matrix = reader(path)
+    except (ParseError, ResourceError) as exc:
+        return type(exc).__name__, getattr(exc, "line_no", None), str(exc)
+    return matrix.ids, matrix.condensed.tobytes()
+
+
+def micros_matrix(ids, seed: int = 0) -> SimilarityMatrix:
+    """Random values that survive the 6-decimal format exactly."""
+    n = len(ids)
+    micros = np.random.default_rng(seed).integers(0, 1_000_001, n * (n - 1) // 2)
+    return SimilarityMatrix(ids, (micros / 1e6).astype(np.float32))
+
+
+PREFIX_IDS = ["u1", "u10", "u100", "u", "u1000", "u2"]
+LENGTH_IDS = ["aaa", "a", "aaaa", "aa"]
+NON_ASCII_IDS = ["zoë", "日本語", "u\U0001F642", "#tag", "ascii", "Ω", "zoé"]
+THREE_PAIRS = sims_text("a b 0.125000", "a c 0.000001", "b c 1.000000")
+
+
+class TestSimsBlockReader:
+    """``read_sims_tsv`` reads blocks of lines in numpy and leaves every
+    file it does not load itself to ``_read_sims_rows``, the row loop."""
+
+    row_loop = staticmethod(artifacts._read_sims_rows)
+
+    @pytest.fixture
+    def row_loop_reads(self, monkeypatch):
+        """The paths that ``read_sims_tsv`` hands to the row loop."""
+        paths = []
+
+        def counted(path):
+            paths.append(path)
+            return self.row_loop(path)
+
+        monkeypatch.setattr(artifacts, "_read_sims_rows", counted)
+        return paths
+
+    def assert_block_read(self, path, row_loop_reads, matrix=None):
+        """The block reader loads ``path`` itself, as the row loop does."""
+        loaded = artifacts.read_sims_tsv(path)
+        assert row_loop_reads == []
+        assert (loaded.ids, loaded.condensed.tobytes()) == read_outcome(self.row_loop, path)
+        if matrix is not None:
+            assert loaded.ids == matrix.ids
+            assert np.array_equal(loaded.condensed, matrix.condensed)
+
+    @pytest.mark.parametrize(
+        "n, block", [(n, block) for n in (0, 2, 3, 7) for block in (16, 100, 1 << 16)] + [(300, 4096), (300, 1 << 16)]
+    )
+    def test_round_trip(self, tmp_path, monkeypatch, row_loop_reads, n, block):
+        monkeypatch.setattr(artifacts, "SIMS_READ_BLOCK", block)
+        path = tmp_path / "sims.tsv"
+        matrix = micros_matrix([f"user{i:04d}" for i in reversed(range(n))], seed=n)
+        artifacts.write_sims_tsv(path, matrix)
+        self.assert_block_read(path, row_loop_reads, matrix)
+
+    @pytest.mark.parametrize("ids", [PREFIX_IDS, LENGTH_IDS, NON_ASCII_IDS], ids=["prefix", "length", "non-ascii"])
+    @pytest.mark.parametrize("block", [16, 1 << 16])
+    def test_awkward_ids(self, tmp_path, monkeypatch, row_loop_reads, ids, block):
+        monkeypatch.setattr(artifacts, "SIMS_READ_BLOCK", block)
+        path = tmp_path / "sims.tsv"
+        matrix = micros_matrix(ids)
+        artifacts.write_sims_tsv(path, matrix)
+        self.assert_block_read(path, row_loop_reads, matrix)
+
+    def test_first_id_rows_span_blocks_and_rows_straddle_them(self, tmp_path, monkeypatch, row_loop_reads):
+        monkeypatch.setattr(artifacts, "SIMS_READ_BLOCK", 64)
+        path = tmp_path / "sims.tsv"
+        matrix = micros_matrix([f"profile-{i:02d}-" + "x" * i for i in range(9)])
+        artifacts.write_sims_tsv(path, matrix)
+        text = path.read_bytes()
+        first_id_rows = b"".join(line + b"\n" for line in text.split(b"\n") if line.startswith(b"profile-00-\t"))
+        assert len(first_id_rows) > 2 * 64
+        line_ends = {i + 1 for i, byte in enumerate(text) if byte == ord("\n")}
+        assert any(boundary not in line_ends for boundary in range(64, len(text), 64))  # a row crosses a read
+        self.assert_block_read(path, row_loop_reads, matrix)
+
+    def test_no_final_newline(self, tmp_path, monkeypatch, row_loop_reads):
+        for block in (16, 1 << 16):
+            monkeypatch.setattr(artifacts, "SIMS_READ_BLOCK", block)
+            path = tmp_path / "sims.tsv"
+            matrix = micros_matrix(PREFIX_IDS)
+            artifacts.write_sims_tsv(path, matrix)
+            path.write_bytes(path.read_bytes()[:-1])
+            self.assert_block_read(path, row_loop_reads, matrix)
+
+    @pytest.mark.parametrize("cell", ["0.25", "1", "1e-1", " 0.5", "0.5 ", "0", "1.0000000", "+0.5", "-0.0"])
+    def test_other_cell_forms_parsed_by_float(self, tmp_path, row_loop_reads, cell):
+        path = tmp_path / "sims.tsv"
+        path.write_text(THREE_PAIRS.replace("0.000001", cell), encoding="utf-8")
+        self.assert_block_read(path, row_loop_reads)
+        assert artifacts.read_sims_tsv(path).condensed[1] == np.float32(float(cell))
+
+    @pytest.mark.parametrize(
+        "cell", ["1.000001", "2.000000", "0.12345x", "0,123456", "0.5\u00e9", "nan", "inf", "", "-0.1"]
+    )
+    def test_invalid_cells_rejected_as_by_row_loop(self, tmp_path, cell):
+        path = tmp_path / "sims.tsv"
+        path.write_text(THREE_PAIRS.replace("0.000001", cell), encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            artifacts.read_sims_tsv(path)
+        assert exc.value.line_no == 2
+        assert read_outcome(artifacts.read_sims_tsv, path) == read_outcome(self.row_loop, path)
+
+    def test_id_holding_carriage_return(self, tmp_path):
+        path = tmp_path / "sims.tsv"
+        artifacts.write_sims_tsv(path, micros_matrix(["a", "b\rc", "d"]))
+        outcome = read_outcome(artifacts.read_sims_tsv, path)
+        assert outcome == read_outcome(self.row_loop, path)
+        assert outcome[0] == "ParseError"
+
+    @pytest.mark.parametrize("form", ["crlf", "blank line", "cr only"])
+    def test_carriage_returns_and_blank_lines_go_to_row_loop(self, tmp_path, row_loop_reads, form):
+        path = tmp_path / "sims.tsv"
+        matrix = micros_matrix(PREFIX_IDS)
+        artifacts.write_sims_tsv(path, matrix)
+        text = path.read_bytes()
+        lines = text.splitlines(keepends=True)
+        text = {
+            "crlf": text.replace(b"\n", b"\r\n"),
+            "blank line": b"".join(lines[:7] + [b"\n"] + lines[7:]),
+            "cr only": text.replace(b"\n", b"\r"),
+        }[form]
+        path.write_bytes(text)
+        loaded = artifacts.read_sims_tsv(path)
+        assert row_loop_reads == [path]
+        assert loaded.ids == matrix.ids
+        assert np.array_equal(loaded.condensed, matrix.condensed)
+
+    @staticmethod
+    def mutations(lines: list[bytes]):
+        """``(name, text)`` for each edit of a valid file's lines."""
+        last = len(lines) - 1
+        for at in sorted({0, 1, 4, 5, 6, 7, last // 2, last - 1}):
+            yield f"swap {at}", b"".join(lines[:at] + [lines[at + 1], lines[at]] + lines[at + 2 :])
+        for at in sorted({0, 1, 5, 6, last // 2, last}):
+            yield f"drop {at}", b"".join(lines[:at] + lines[at + 1 :])
+            yield f"duplicate {at}", b"".join(lines[: at + 1] + lines[at:])
+            yield f"blank before {at}", b"".join(lines[:at] + [b"\n"] + lines[at:])
+            ids = lines[at].rsplit(b"\t", 1)[0]
+            for cell in (b"0.5x", b"1.5", b"nan", b"-1e-9", b"1.000001", b""):
+                yield f"value {cell!r} at {at}", b"".join(lines[:at] + [ids + b"\t" + cell + b"\n"] + lines[at + 1 :])
+            for field in (0, 1):
+                fields = lines[at].split(b"\t")
+                fields[field] = fields[field][:-1]  # u10 -> u1, u -> ""
+                yield f"shorten id {field} at {at}", b"".join(lines[:at] + [b"\t".join(fields)] + lines[at + 1 :])
+                fields = lines[at].split(b"\t")
+                fields[field] = fields[field][:-1] + b"x"  # u10 -> u1x
+                yield f"respell id {field} at {at}", b"".join(lines[:at] + [b"\t".join(fields)] + lines[at + 1 :])
+            yield f"extra field at {at}", b"".join(lines[:at] + [lines[at][:-1] + b"\tx\n"] + lines[at + 1 :])
+            yield f"missing field at {at}", b"".join(lines[:at] + [lines[at].split(b"\t", 1)[1]] + lines[at + 1 :])
+        for extra in (lines[0], lines[-1], b"u2\tu2\t0.500000\n", b"u2\tu1\t0.500000\n"):
+            yield f"append {extra!r}", b"".join(lines + [extra])
+        yield "crlf", b"".join(lines).replace(b"\n", b"\r\n")
+        yield "no final newline", b"".join(lines)[:-1]
+        yield "trailing blank lines", b"".join(lines) + b"\n\n"
+        yield "only the first id's rows", b"".join(lines[:5])
+
+    @pytest.mark.parametrize("block", [16, 64, 1 << 16])
+    def test_mutations_match_row_loop(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(artifacts, "SIMS_READ_BLOCK", block)
+        path = tmp_path / "sims.tsv"
+        artifacts.write_sims_tsv(path, micros_matrix(PREFIX_IDS))
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 15
+        for name, text in self.mutations(lines):
+            path.write_bytes(text)
+            assert read_outcome(artifacts.read_sims_tsv, path) == read_outcome(self.row_loop, path), name
 
 
 class TestSimsMemo:

@@ -1,6 +1,8 @@
 """Greedy profile matching and similarity matrix construction."""
 
+import gc
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +145,53 @@ class TestSimilarityMatrix:
         assert sub[0, 0] == 0.0
         assert sub[0, 1] == pytest.approx(0.9)
         assert sub[1, 2] == pytest.approx(1.0 - 0.9)
+
+    @staticmethod
+    def random_matrix(n: int, seed: int) -> SimilarityMatrix:
+        rng = np.random.default_rng(seed)
+        return SimilarityMatrix([f"u{i}" for i in range(n)], rng.random(n * (n - 1) // 2, dtype=np.float32))
+
+    @staticmethod
+    def square(matrix: SimilarityMatrix) -> np.ndarray:
+        full = np.ones((matrix.n, matrix.n), dtype=np.float32)
+        upper = np.triu_indices(matrix.n, 1)  # row-major, the storage order
+        full[upper] = matrix.condensed
+        full[upper[::-1]] = matrix.condensed
+        return full
+
+    def test_block_equals_square(self):
+        for n, rows, cols in [
+            (9, [8, 0, 3, 3, 5], [0, 3, 8, 1]),
+            (9, range(9), range(9)),
+            (2, [1, 0, 1], [0, 1]),
+            (1, [0, 0], [0]),
+            (0, [], []),
+        ]:
+            matrix = self.random_matrix(n, seed=n)
+            block = matrix.block(rows, cols)
+            assert block.dtype == np.float32
+            assert np.array_equal(block, self.square(matrix)[np.ix_(list(rows), list(cols))])
+
+    def test_block_peak_memory_of_one_large_cluster(self):
+        matrix = self.random_matrix(1000, seed=1)
+        members = np.random.default_rng(2).permutation(1000)
+        expected = self.square(matrix)[np.ix_(members, members)]
+        cells = members.size**2
+        for name in ("block", "pairwise_distances"):
+            args = (members, members) if name == "block" else (members,)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                got = getattr(matrix, name)(*args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            want = expected if name == "block" else 1.0 - expected.astype(np.float64)
+            assert np.array_equal(got, want)
+            # an intp index and the float32 block, or the float32 block and the
+            # float64 result, plus numpy's cast buffers; int64 lo, hi and
+            # index temporaries took 32 bytes per cell
+            assert peak <= 12 * cells + 2**17, (name, peak / cells)
 
     def test_iter_pairs_round_trip(self, blob_matrix):
         pairs = list(blob_matrix.iter_pairs())
