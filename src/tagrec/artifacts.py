@@ -12,11 +12,14 @@ file in chunks instead of building the whole file in memory.
 ``(ids[0], ids[1]), (ids[0], ids[2]), ..., (ids[n-2], ids[n-1])``; its
 reader accepts that order only.  Its writer formats every similarity at
 once in numpy (:func:`format_sims`, the one implementation of the
-6-decimal format, shared with ``recommendations.tsv``) and emits each
-``ids[i]`` block of rows as one chunk.  Its reader checks and decodes
-blocks of about 64 KiB of whole lines in numpy; a file it does not load
-itself (a bad row, a ``\\r``, a blank line) is read again by a row loop,
-which names the first bad row in its error.
+6-decimal format, shared with ``recommendations.tsv``) and emits the
+rows of each ``ids[i]`` as one chunk laid out by :func:`_sims_rows`, the
+one definition of the file's layout.  The reader's fast path accepts
+exactly what the writer writes: it decodes groups of rows of about
+64 KiB and keeps them only if :func:`_sims_rows` re-renders the same
+bytes.  Every other file (another number form, a ``\\r``, a blank line,
+a bad row) is read again by a row loop, which names the first bad row in
+its error.
 
 One pipeline run keeps one :class:`FileHashes`: it hashes each file
 version once and parses each ``sims.tsv`` version once, so the stages
@@ -176,15 +179,19 @@ def stage_is_cached(artifact_path, stage: str, params: dict, inputs: dict, hashe
         return False
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        return False
+    # A sidecar of any other shape than write_sidecar's is a cache miss, not an error.
+    if not isinstance(meta, dict):
         return False
     if meta.get("stage") != stage or meta.get("params") != params or meta.get("code_sha256") != code_sha256():
         return False
-    recorded = meta.get("inputs", {})
-    if set(recorded) != set(inputs):
+    recorded = meta.get("inputs")
+    if not isinstance(recorded, dict) or set(recorded) != set(inputs):
         return False
     for name, p in inputs.items():
-        if not Path(p).exists() or recorded[name].get("sha256") != hashes(p):
+        entry = recorded[name]
+        if not isinstance(entry, dict) or not Path(p).exists() or entry.get("sha256") != hashes(p):
             return False
     return meta.get("output_sha256") == hashes(artifact_path)
 
@@ -208,8 +215,8 @@ def write_sims_tsv(path, matrix: SimilarityMatrix) -> None:
     """``id_i<TAB>id_j<TAB>sim`` for i < j in storage order, 6 decimals.
 
     All values are formatted at once by :func:`format_sims`.  The rows of
-    each ``ids[i]`` are joined into one chunk, written as it is made, so
-    no text beyond one block of rows is held.
+    each ``ids[i]`` are laid out by :func:`_sims_rows` as one chunk,
+    written as it is made, so no text beyond one id's rows is held.
     """
     encoded = [pid.encode() for pid in matrix.ids]
     cells = format_sims(matrix.condensed)
@@ -218,17 +225,26 @@ def write_sims_tsv(path, matrix: SimilarityMatrix) -> None:
         start = 0
         for i, a in enumerate(encoded):
             end = start + len(encoded) - 1 - i
-            # prefix, id_j, "\tsim\n" for every j > i
-            parts = [a + b"\t"] * (3 * (end - start))
-            parts[1::3] = encoded[i + 1 :]
-            parts[2::3] = cells[start:end].tolist()
-            yield b"".join(parts).decode()
+            yield _sims_rows(a + b"\t", encoded[i + 1 :], cells[start:end]).decode()
             start = end
 
     atomic_write_text(path, chunks())
 
 
-SIMS_READ_BLOCK = 1 << 16  # bytes read per block by read_sims_tsv; whole lines of them are checked at once
+def _sims_rows(prefix: bytes, later_ids: list[bytes], cells: np.ndarray) -> bytes:
+    """One id's rows of ``sims.tsv``: ``prefix`` (that id and a tab), then
+    each later id and its :func:`format_sims` cell.
+
+    This is the one definition of the file's layout: the writer emits it,
+    and the fast path of :func:`read_sims_tsv` accepts only what it gives.
+    """
+    parts = [prefix] * (3 * len(later_ids))
+    parts[1::3] = later_ids
+    parts[2::3] = cells.tolist()
+    return b"".join(parts)
+
+
+SIMS_READ_BLOCK = 1 << 16  # about the bytes of rows that read_sims_tsv reads and re-renders at once
 _MICROS = np.array([1e6, 0, 1e5, 1e4, 1e3, 100, 10, 1])  # place value of each byte of a "D.DDDDDD" cell
 
 
@@ -237,42 +253,41 @@ def read_sims_tsv(path) -> SimilarityMatrix:
 
     Rows must come in storage order, the order of
     ``itertools.combinations(ids, 2)`` that :func:`write_sims_tsv` emits.
-    The first id's rows name the ids.  The file is then read from the
-    start in blocks of about ``SIMS_READ_BLOCK`` bytes of whole lines, and
-    each block is checked and decoded in numpy, with no Python step per
-    row: every line holds two tabs, its two ids are, byte for byte, the
-    next pair of that order, and its value goes straight into the float32
-    condensed array.  A ``D.DDDDDD`` cell is decoded from its digits
-    (``micros / 1e6`` is the double ``float()`` returns); any other cell
-    is parsed by ``float()``.  Values must lie in [0, 1], and the file
-    must end after the last pair.  Beyond the matrix, it holds one block
-    and the numpy temporaries of one block.
+    The fast path accepts exactly the files that :func:`write_sims_tsv`
+    writes.  The first id's rows name the ids, so the length of every row
+    is known: the file is read in groups of consecutive ids of about
+    ``SIMS_READ_BLOCK`` bytes, the 8-byte cell that ends each line is
+    decoded from its digits (``micros / 1e6`` is the double ``float()``
+    returns), and a group is accepted only if :func:`format_sims` and
+    :func:`_sims_rows` give back its exact bytes from those ids and
+    values.  The file must end after the last group.  Beyond the matrix,
+    it holds one group and its numpy temporaries.
 
-    A file that fails any check, or holds a ``\\r`` or a blank line, is
-    read again from the start by the row loop :func:`_read_sims_rows`,
-    which names the first bad row in its :class:`ParseError`, and also
-    loads the CRLF files and blank lines that the block reader leaves to it.
+    Every other file is read again from the start by the row loop
+    :func:`_read_sims_rows`.  It loads other number forms, a missing final
+    newline, CRLF line ends and blank lines, and names the first bad row
+    in its :class:`ParseError`.
     """
-    matrix = _read_sims_blocks(path)
+    matrix = _read_sims_written(path)
     return _read_sims_rows(path) if matrix is None else matrix
 
 
-def _read_sims_blocks(path) -> SimilarityMatrix | None:
-    """The block reader of :func:`read_sims_tsv`; ``None`` for any file
-    it does not load exactly as :func:`_read_sims_rows` would."""
+def _read_sims_written(path) -> SimilarityMatrix | None:
+    """The fast path of :func:`read_sims_tsv`; ``None`` for any file
+    that :func:`write_sims_tsv` would not write byte for byte."""
     try:
         with open(path, "rb") as fh:
             encoded = _first_id_pairs(fh)
-            if encoded is None:
+            # the row loop reads in universal-newline mode, where a "\r" in an id ends its line
+            if encoded is None or any(b"\r" in pid for pid in encoded):
                 return None
-            decoder = _BlockDecoder(encoded)
-            fh.seek(0)
-            for block in _line_blocks(fh):
-                if b"\r" in block or not decoder.decode(block):
-                    return None
+            n = len(encoded)
+            matrix = SimilarityMatrix([pid.decode() for pid in encoded], np.empty(n * (n - 1) // 2, dtype=np.float32))
+            if n and not _read_groups(fh, encoded, matrix.condensed):
+                return None
+            return None if fh.read(1) else matrix
     except (OSError, UnicodeDecodeError):
         return None
-    return decoder.matrix if decoder.done == decoder.matrix.condensed.size else None
 
 
 def _first_id_pairs(fh) -> list[bytes] | None:
@@ -292,106 +307,36 @@ def _first_id_pairs(fh) -> list[bytes] | None:
     return ids if len(set(ids)) == len(ids) else None
 
 
-def _line_blocks(fh):
-    """The file's bytes in blocks of whole lines, each ending in ``\\n``,
-    the last line given one if it has none."""
-    carry = b""
-    while chunk := fh.read(SIMS_READ_BLOCK):
-        block = carry + chunk
-        end = block.rfind(b"\n") + 1
-        carry = block[end:]
-        if end:
-            yield block[:end]
-    if carry:
-        yield carry + b"\n"
-
-
-def _fields_match(buf: np.ndarray, starts, lengths, ref: np.ndarray, ref_starts) -> bool:
-    """Whether each field ``buf[starts[r] : starts[r] + lengths[r]]`` holds
-    the bytes of ``ref`` from ``ref_starts[r]``, compared in one gather."""
-    pos = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-    pos += np.arange(pos.size)
-    ref_pos = np.repeat(ref_starts - starts, lengths)
-    ref_pos += pos
-    return np.array_equal(buf[pos], ref[ref_pos])
-
-
-class _BlockDecoder:
-    """Checks blocks of ``sims.tsv`` lines against the storage order of
-    one id list and decodes their values into ``matrix.condensed``."""
-
-    def __init__(self, encoded: list[bytes]):
-        n = len(encoded)
-        self.matrix = SimilarityMatrix(
-            [pid.decode() for pid in encoded], np.empty(n * (n - 1) // 2, dtype=np.float32)
-        )
-        self.ids = np.frombuffer(b"".join(encoded), dtype=np.uint8)
-        self.id_lengths = np.array([len(pid) for pid in encoded], dtype=np.intp)
-        self.id_starts = np.cumsum(self.id_lengths) - self.id_lengths
-        # condensed index of each pair (i, i + 1); the last entry is the pair count
-        self.row_starts = self.matrix._k(np.arange(n), np.arange(1, n + 1))
-        self.done = 0  # pairs read so far
-
-    def decode(self, block: bytes) -> bool:
-        """Check the lines of ``block`` as the next pairs and store their
-        values; ``False`` if any check fails."""
-        buf = np.frombuffer(block, dtype=np.uint8)
-        ends = np.flatnonzero(buf == ord("\n"))
-        tabs = np.flatnonzero(buf == ord("\t"))
-        rows = ends.size
-        if tabs.size != 2 * rows or self.done + rows > self.matrix.condensed.size:
+def _read_groups(fh, encoded: list[bytes], condensed: np.ndarray) -> bool:
+    """Read the rows of ``encoded`` (two ids or more) from the start of
+    ``fh`` into ``condensed``, in groups of consecutive ids; ``False`` at
+    the first group that is not what :func:`_sims_rows` lays out."""
+    n = len(encoded)
+    lengths = np.array([len(pid) for pid in encoded])
+    groups = min(n - 1, max(1, os.fstat(fh.fileno()).st_size // SIMS_READ_BLOCK))
+    fh.seek(0)
+    done = 0  # pairs read so far
+    for group in np.array_split(np.arange(n - 1), groups):
+        group = group.tolist()
+        # a row of ids i and j is len_i + len_j + 11 bytes: two tabs, "D.DDDDDD" and "\n"
+        line_ends = np.cumsum(np.concatenate([lengths[i + 1 :] + (lengths[i] + 11) for i in group]))
+        block = fh.read(int(line_ends[-1]))
+        if len(block) != line_ends[-1]:
             return False
-        tab1, tab2 = tabs[0::2], tabs[1::2]
-        starts = np.concatenate(([0], ends[:-1] + 1))
-
-        # Row r's ids run from its line start to tab1[r] and on to tab2[r].
-        # An id holds no tab or newline, so once both match, every line
-        # holds exactly two of the 2 * rows tabs: a blank line never passes.
-        k = np.arange(self.done, self.done + rows)
-        i = np.searchsorted(self.row_starts, k, side="right") - 1
-        j = i + 1 + (k - self.row_starts[i])
-        first, second = tab1 - starts, tab2 - tab1 - 1
-        if not (
-            np.array_equal(first, self.id_lengths[i])
-            and np.array_equal(second, self.id_lengths[j])
-            and _fields_match(buf, starts, first, self.ids, self.id_starts[i])
-            and _fields_match(buf, tab1 + 1, second, self.ids, self.id_starts[j])
-        ):
+        cells = sliding_window_view(np.frombuffer(block, dtype=np.uint8), 8)[line_ends - 9]
+        micros = (cells - np.uint8(ord("0"))) @ _MICROS  # any bytes decode; the re-rendering keeps only digits
+        if micros.max() > 1_000_000:  # format_sims refuses a value above 1
             return False
-
-        out = self.matrix.condensed[self.done : self.done + rows]
-        cell_starts = tab2 + 1
-        if not _decode_values(block, buf, cell_starts, ends, out):
+        values = condensed[done : done + micros.size]
+        values[:] = micros / 1e6
+        rendered, start, rows = format_sims(values), 0, []
+        for i in group:
+            end = start + n - 1 - i
+            rows.append(_sims_rows(encoded[i] + b"\t", encoded[i + 1 :], rendered[start:end]))
+            start = end
+        if b"".join(rows) != block:
             return False
-        self.done += rows
-        return True
-
-
-def _decode_values(block: bytes, buf: np.ndarray, cell_starts, ends, out: np.ndarray) -> bool:
-    """Store the value cell ``block[cell_starts[r] : ends[r]]`` of each row
-    in ``out[r]``; ``False`` if one is not a number in [0, 1]."""
-    fixed = np.flatnonzero(ends - cell_starts == 8)
-    cells = sliding_window_view(buf, 8)[cell_starts[fixed]]
-    point = cells[:, 1] == ord(".")
-    cells[:, 1] = ord("0")
-    digits = cells - np.uint8(ord("0"))  # a non-digit wraps above 9
-    canonical = point & (digits <= 9).all(axis=1)
-    micros = (digits @ _MICROS)[canonical]  # exact: float64 holds every integer of 7 digits
-    if (micros > 1_000_000).any():
-        return False
-    # micros / 1e6 is the correctly rounded double, the one float() returns
-    decoded = fixed[canonical]
-    out[decoded] = micros / 1e6
-    others = np.ones(out.size, dtype=bool)
-    others[decoded] = False
-    for r in np.flatnonzero(others).tolist():
-        try:
-            value = float(block[cell_starts[r] : ends[r]].decode())
-        except ValueError:  # UnicodeDecodeError is one
-            return False
-        if not 0.0 <= value <= 1.0:
-            return False
-        out[r] = value
+        done += micros.size
     return True
 
 

@@ -101,6 +101,36 @@ class TestSidecar:
         out.write_text("tampered\n")
         assert not artifacts.stage_is_cached(out, "stage", {}, {"in": inp})
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda meta: [],
+            lambda meta: None,
+            lambda meta: "stage",
+            lambda meta: {**meta, "inputs": {"in": "abc"}},
+            lambda meta: {**meta, "inputs": {"in": None}},
+            lambda meta: {**meta, "inputs": ["in"]},
+            lambda meta: {**meta, "inputs": None},
+        ],
+        ids=["list", "null", "string", "input string", "input null", "inputs list", "inputs null"],
+    )
+    def test_wrong_shape_is_a_miss(self, tmp_path, edit):
+        out, inp = tmp_path / "out.tsv", tmp_path / "in.tsv"
+        inp.write_text("data\n")
+        artifacts.write_tsv(out, [("a", 1)])
+        artifacts.write_sidecar(out, "stage", {}, {"in": inp}, 0.1)
+        meta_path = artifacts.sidecar_path(out)
+        meta_path.write_text(json.dumps(edit(json.loads(meta_path.read_text()))))
+        assert artifacts.stage_is_cached(out, "stage", {}, {"in": inp}) is False
+
+    def test_undecodable_sidecar_is_a_miss(self, tmp_path):
+        out, inp = tmp_path / "out.tsv", tmp_path / "in.tsv"
+        inp.write_text("data\n")
+        artifacts.write_tsv(out, [("a", 1)])
+        artifacts.write_sidecar(out, "stage", {}, {"in": inp}, 0.1)
+        artifacts.sidecar_path(out).write_bytes(b'{"stage": "\xe9"}')
+        assert artifacts.stage_is_cached(out, "stage", {}, {"in": inp}) is False
+
 
 def sims_text(*rows) -> str:
     """``sims.tsv`` text from space-separated ``id id value`` rows."""
@@ -159,6 +189,8 @@ class TestSimsRoundTrip:
             (sims_text("a b 0.5", "a c 0.5", "b b 0.5"), 3),  # later self pair
             (sims_text("a b 0.5", "a c 0.5", "b c 0.5", "b c 0.5"), 4),  # extra trailing row
             (sims_text("a b 0.5", "a c 0.5", "b c 0.5", "a b 0.5"), 4),
+            # the writer's own layout of ids a, b, b
+            (sims_text("a b 0.500000", "a b 0.500000", "b b 0.500000"), 2),
         ]:
             self.assert_rejected(tmp_path, text, line_no)
 
@@ -268,13 +300,19 @@ class TestSimsWriter:
             artifacts.write_sims_tsv(path, matrix)
         assert not path.exists()
 
-    def test_peak_memory_of_acceptance_matrix(self, tmp_path):
+    def test_peak_memory_of_acceptance_matrix(self, tmp_path, monkeypatch):
         users, profiles, sims = tmp_path / "users.tsv", tmp_path / "profiles.tsv", tmp_path / "sims.tsv"
         make_synthetic_users(users)
         compute_profiles(users, DATA / "lexicon.txt", DATA / "bigrams.tsv", DEFAULT_FLOOR_PROB, profiles)
         taxonomy = DATA / "taxonomy"
         tax_files = (taxonomy / "synsets.tsv", taxonomy / "edges.tsv", taxonomy / "counts.tsv")
         compute_simmatrix(profiles, *tax_files, DEFAULT_IC_CAP, 1, sims)
+
+        def no_row_loop(path):
+            raise AssertionError(f"{path} left the fast path")
+
+        # A writer the fast path does not re-render exactly would only make reads slower.
+        monkeypatch.setattr(artifacts, "_read_sims_rows", no_row_loop)
         matrix = artifacts.read_sims_tsv(sims)
         assert matrix.n == 500
         gc.collect()
@@ -324,8 +362,9 @@ THREE_PAIRS = sims_text("a b 0.125000", "a c 0.000001", "b c 1.000000")
 
 
 class TestSimsBlockReader:
-    """``read_sims_tsv`` reads blocks of lines in numpy and leaves every
-    file it does not load itself to ``_read_sims_rows``, the row loop."""
+    """``read_sims_tsv`` loads the files ``write_sims_tsv`` writes on its
+    fast path, by re-rendering them, and leaves every other file to
+    ``_read_sims_rows``, the row loop."""
 
     row_loop = staticmethod(artifacts._read_sims_rows)
 
@@ -341,10 +380,11 @@ class TestSimsBlockReader:
         monkeypatch.setattr(artifacts, "_read_sims_rows", counted)
         return paths
 
-    def assert_block_read(self, path, row_loop_reads, matrix=None):
-        """The block reader loads ``path`` itself, as the row loop does."""
+    def assert_block_read(self, path, row_loop_reads, matrix=None, row_loop=False):
+        """``path`` loads as the row loop loads it: on the fast path, or
+        with ``row_loop`` through the row loop itself."""
         loaded = artifacts.read_sims_tsv(path)
-        assert row_loop_reads == []
+        assert row_loop_reads == ([path] if row_loop else [])
         assert (loaded.ids, loaded.condensed.tobytes()) == read_outcome(self.row_loop, path)
         if matrix is not None:
             assert loaded.ids == matrix.ids
@@ -382,20 +422,39 @@ class TestSimsBlockReader:
         self.assert_block_read(path, row_loop_reads, matrix)
 
     def test_no_final_newline(self, tmp_path, monkeypatch, row_loop_reads):
+        # write_sims_tsv always ends the file with a newline, so the row loop reads this one
         for block in (16, 1 << 16):
             monkeypatch.setattr(artifacts, "SIMS_READ_BLOCK", block)
             path = tmp_path / "sims.tsv"
             matrix = micros_matrix(PREFIX_IDS)
             artifacts.write_sims_tsv(path, matrix)
             path.write_bytes(path.read_bytes()[:-1])
-            self.assert_block_read(path, row_loop_reads, matrix)
+            self.assert_block_read(path, row_loop_reads, matrix, row_loop=True)
+            row_loop_reads.clear()
 
     @pytest.mark.parametrize("cell", ["0.25", "1", "1e-1", " 0.5", "0.5 ", "0", "1.0000000", "+0.5", "-0.0"])
     def test_other_cell_forms_parsed_by_float(self, tmp_path, row_loop_reads, cell):
+        # write_sims_tsv writes only "D.DDDDDD" cells, so the row loop reads these
         path = tmp_path / "sims.tsv"
         path.write_text(THREE_PAIRS.replace("0.000001", cell), encoding="utf-8")
-        self.assert_block_read(path, row_loop_reads)
+        self.assert_block_read(path, row_loop_reads, row_loop=True)
         assert artifacts.read_sims_tsv(path).condensed[1] == np.float32(float(cell))
+
+    def test_every_canonical_cell_renders_back(self):
+        """The fast path's premise: each cell from 0.000000 to 1.000000,
+        decoded to float32 as the reader does, formats back to its own
+        bytes, and the decoded value is the float32 of ``float(cell)``."""
+        micros = np.arange(1_000_001)
+        cells = np.empty((micros.size, 8), dtype=np.uint8)
+        cells[:, 0] = ord("0") + micros // 1_000_000
+        cells[:, 1] = ord(".")
+        for column, power in enumerate((100_000, 10_000, 1_000, 100, 10, 1), start=2):
+            cells[:, column] = ord("0") + micros // power % 10
+        decoded = ((cells - np.uint8(ord("0"))) @ artifacts._MICROS / 1e6).astype(np.float32)
+        text = cells.view("S8").ravel()
+        assert np.array_equal(decoded, text.astype(np.float64).astype(np.float32))
+        lines = np.char.add(np.char.add(b"\t", text), b"\n")
+        assert np.array_equal(artifacts.format_sims(decoded), lines)
 
     @pytest.mark.parametrize(
         "cell", ["1.000001", "2.000000", "0.12345x", "0,123456", "0.5\u00e9", "nan", "inf", "", "-0.1"]

@@ -167,6 +167,25 @@ class TestRunAll:
         err = capsys.readouterr().err
         assert "profiles" in err and "lexicon" in err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda meta: [], lambda meta: {**meta, "inputs": {**meta["inputs"], "users": "abc"}}],
+        ids=["list", "input string"],
+    )
+    def test_sidecar_of_wrong_shape_recomputes(self, users_file, tmp_path, capsys, edit):
+        out_dir = tmp_path / "out"
+        main(base_args(users_file, out_dir))
+        profiles = (out_dir / "profiles.tsv").read_bytes()
+        meta_path = out_dir / "profiles.tsv.meta.json"
+        meta_path.write_text(json.dumps(edit(json.loads(meta_path.read_text()))))
+        capsys.readouterr()
+        assert main(base_args(users_file, out_dir)) == 0
+        stdout = capsys.readouterr().out
+        assert "[profiles] computed" in stdout
+        assert stdout.count("] cached ->") == 3
+        assert (out_dir / "profiles.tsv").read_bytes() == profiles
+        assert json.loads((out_dir / "profiles.tsv.meta.json").read_text())["stage"] == "profiles"
+
     def test_sidecar_contents(self, users_file, tmp_path):
         out_dir = tmp_path / "out"
         main(base_args(users_file, out_dir))
