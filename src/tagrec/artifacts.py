@@ -244,7 +244,7 @@ def _sims_rows(prefix: bytes, later_ids: list[bytes], cells: np.ndarray) -> byte
     return b"".join(parts)
 
 
-SIMS_READ_BLOCK = 1 << 16  # about the bytes of rows that read_sims_tsv reads and re-renders at once
+SIMS_READ_BLOCK = 1 << 16  # most bytes of rows that read_sims_tsv reads and re-renders at once, bar one id's rows
 _MICROS = np.array([1e6, 0, 1e5, 1e4, 1e3, 100, 10, 1])  # place value of each byte of a "D.DDDDDD" cell
 
 
@@ -255,13 +255,13 @@ def read_sims_tsv(path) -> SimilarityMatrix:
     ``itertools.combinations(ids, 2)`` that :func:`write_sims_tsv` emits.
     The fast path accepts exactly the files that :func:`write_sims_tsv`
     writes.  The first id's rows name the ids, so the length of every row
-    is known: the file is read in groups of consecutive ids of about
-    ``SIMS_READ_BLOCK`` bytes, the 8-byte cell that ends each line is
-    decoded from its digits (``micros / 1e6`` is the double ``float()``
-    returns), and a group is accepted only if :func:`format_sims` and
-    :func:`_sims_rows` give back its exact bytes from those ids and
-    values.  The file must end after the last group.  Beyond the matrix,
-    it holds one group and its numpy temporaries.
+    is known: the file is read in groups of consecutive ids of at most
+    ``SIMS_READ_BLOCK`` bytes (or one id's rows), the 8-byte cell that
+    ends each line is decoded from its digits (``micros / 1e6`` is the
+    double ``float()`` returns), and a group is accepted only if
+    :func:`format_sims` and :func:`_sims_rows` give back its exact bytes
+    from those ids and values.  The file must end after the last group.
+    Beyond the matrix, it holds one group and its numpy temporaries.
 
     Every other file is read again from the start by the row loop
     :func:`_read_sims_rows`.  It loads other number forms, a missing final
@@ -307,18 +307,34 @@ def _first_id_pairs(fh) -> list[bytes] | None:
     return ids if len(set(ids)) == len(ids) else None
 
 
+def _id_groups(lengths: np.ndarray) -> list[tuple[int, int]]:
+    """Consecutive id ranges ``[lo, hi)`` that cover the ids with rows,
+    ``0`` to ``n - 2`` for ``n`` ids of the given byte ``lengths``.  The
+    rows of a range take at most ``SIMS_READ_BLOCK`` bytes, unless they
+    are the rows of one id alone."""
+    n = lengths.size
+    # id i has n-1-i rows of len_i + len_j + 11 bytes: two tabs, "D.DDDDDD" and "\n"
+    later = np.cumsum(lengths[::-1])[::-1] - lengths  # bytes of the ids after i
+    ends = np.cumsum((n - 1 - np.arange(n - 1)) * (lengths[:-1] + 11) + later[:-1])
+    bounds = [0]
+    while bounds[-1] < n - 1:
+        lo = bounds[-1]
+        limit = (ends[lo - 1] if lo else 0) + SIMS_READ_BLOCK
+        bounds.append(max(lo + 1, int(np.searchsorted(ends, limit, side="right"))))
+    return list(zip(bounds, bounds[1:]))
+
+
 def _read_groups(fh, encoded: list[bytes], condensed: np.ndarray) -> bool:
     """Read the rows of ``encoded`` (two ids or more) from the start of
-    ``fh`` into ``condensed``, in groups of consecutive ids; ``False`` at
-    the first group that is not what :func:`_sims_rows` lays out."""
+    ``fh`` into ``condensed``, in the groups of :func:`_id_groups`;
+    ``False`` at the first group that is not what :func:`_sims_rows`
+    lays out."""
     n = len(encoded)
     lengths = np.array([len(pid) for pid in encoded])
-    groups = min(n - 1, max(1, os.fstat(fh.fileno()).st_size // SIMS_READ_BLOCK))
     fh.seek(0)
     done = 0  # pairs read so far
-    for group in np.array_split(np.arange(n - 1), groups):
-        group = group.tolist()
-        # a row of ids i and j is len_i + len_j + 11 bytes: two tabs, "D.DDDDDD" and "\n"
+    for lo, hi in _id_groups(lengths):
+        group = range(lo, hi)
         line_ends = np.cumsum(np.concatenate([lengths[i + 1 :] + (lengths[i] + 11) for i in group]))
         block = fh.read(int(line_ends[-1]))
         if len(block) != line_ends[-1]:

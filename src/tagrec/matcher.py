@@ -18,11 +18,18 @@ build scores each distinct non-empty word set once, in numpy batches:
    ``word_sim`` is never called.  Without one, ``word_sim`` is called
    once for each unordered word pair that meets in some grid, and for no
    other pair, in the calling process.
-2. Greedy rounds.  A set's grids against a block of later sets (and
-   against itself, when two profiles hold it) are gathered from the table
-   as one ``(m, rows, cols)`` array, padded with the sentinel, and their
-   greedy rounds run together.  No such array is larger than
-   ``GRID_BYTES`` unless a single grid is.
+2. Greedy rounds.  A set is scored against the later sets (and against
+   itself, when two profiles hold it).  A set none of whose words has a
+   similarity above 0 to a word of the row set scores 0 and is never
+   gathered: its rounds would add only zeros.  The grids of the other
+   sets are gathered from the table in blocks, each one
+   ``(m, rows, cols)`` array padded with the sentinel, and their greedy
+   rounds run together.  No such array is larger than ``GRID_BYTES``
+   unless a single grid is.  A grid is finished after its last round or
+   after a round whose pick is 0, since each later pick would add +0.0;
+   once half a block or fewer is unfinished, the finished grids are
+   dropped from it.  ``build_similarity_matrix`` logs how many set pairs
+   were settled at 0 and how many grids were dropped.
 3. Gather.  The set x set scores are copied into the condensed profile
    matrix one profile row at a time; empty profiles score 0.
 
@@ -52,25 +59,47 @@ def _word_tuple(profile_or_words) -> tuple[str, ...]:
     return tuple(sorted(set(words)))
 
 
-def _match_batch(grids: np.ndarray, rounds: np.ndarray) -> np.ndarray:
-    """Greedy matching scores of a batch of padded grids, as float64.
+def _match_batch(grids: np.ndarray, rounds: np.ndarray) -> tuple[np.ndarray, int]:
+    """Greedy matching scores of a batch of padded grids, as float64, and
+    how many grids left the batch before its last round.
 
-    ``grids`` has shape ``(m, n, w)``, padding cells at -1, and is
-    overwritten.  Grid g sums its picks over ``rounds[g]`` rounds, in round
-    order, and is divided by that count.
+    ``grids`` has shape ``(m, n, w)``, cells in [0, 1], padding cells at
+    -1, and is overwritten.  Grid g sums its picks over ``rounds[g]``
+    rounds, in round order, and is divided by that count.  A grid is
+    finished after its last round, or after a round whose pick is 0:
+    every cell left is then at most 0, so each later pick of its rounds
+    would add +0.0, which leaves a sum of values >= 0 unchanged.  A
+    finished grid adds no more picks, and once half the batch or fewer is
+    unfinished, the finished grids are dropped from it, so later rounds
+    do not scan them.
     """
     m, n, w = grids.shape
     flat = grids.reshape(m, n * w)
-    g = np.arange(m)
     total = np.zeros(m)
-    for r in range(int(rounds.max())):
+    at = g = np.arange(m)  # at: the batch index of each grid in flat
+    last = int(rounds.max()) - 1
+    due = np.arange(last + 2)[:, None] < rounds  # due[r]: round r counts for the grid
+    dropped = 0
+    for r in range(last + 1):
         pick = flat.argmax(axis=1)  # first maximum in row-major order
-        live = r < rounds
-        total[live] += flat[g[live], pick[live]]
+        best = flat[g, pick]
+        best *= due[r]  # a grid past its last round adds +0.0 or -0.0
+        total[at] += best
+        if r == last:
+            break
+        live = (best > 0) & due[r + 1]
+        kept = int(np.count_nonzero(live))
+        if 2 * kept <= at.size:
+            dropped += at.size - kept
+            if not kept:
+                break
+            flat, at, pick, due = flat[live], at[live], pick[live], due[:, live]
+            grids = flat.reshape(kept, n, w)
+            g = np.arange(kept)
         i, j = np.divmod(pick, w)
         grids[g, i] = -1.0
         grids[g, :, j] = -1.0
-    return total / rounds
+    return total / rounds, dropped
 
 
 def _word_table(vocab: list[str], padded: np.ndarray, lengths: np.ndarray, shared, word_sim) -> np.ndarray:
@@ -133,25 +162,43 @@ class _SetScorer:
         """The sets that set ``a`` is scored against, ascending."""
         return np.arange(a if self.shared[a] else a + 1, len(self.lengths))
 
-    def row(self, a: int) -> np.ndarray:
-        """Float64 scores of set ``a`` against each of ``columns(a)``."""
+    def row(self, a: int, stats: Counter) -> np.ndarray:
+        """Float64 scores of set ``a`` against each of ``columns(a)``.
+
+        A set whose words have no similarity above 0 to any word of ``a``
+        scores +0.0, as its greedy rounds would give, and its grid is
+        never gathered.  The other grids are matched in batches of at
+        most ``GRID_BYTES``.  ``stats`` counts the set pairs settled at 0
+        this way (``zero_pairs``) and the grids that left their batch
+        before its last round (``dropped_grids``).
+        """
         cols = self.columns(a)
-        out = np.empty(cols.size)
+        out = np.zeros(cols.size)
         if not cols.size:
             return out
         n = int(self.lengths[a])
-        rows = self.padded[a, :n, None]
-        step = max(1, GRID_BYTES // (8 * n * int(self.lengths[cols].max())))
-        for lo in range(0, cols.size, step):
-            block = cols[lo : lo + step]
+        rows = self.padded[a, :n]
+        # reach[v]: some word of a has a similarity above 0 to word v.
+        # Cells no scored grid holds are -1, and so is the sentinel column.
+        reach = (self.table[rows] > 0).any(axis=0)
+        hit = np.flatnonzero(reach[self.padded[cols]].any(axis=1))
+        stats["zero_pairs"] += cols.size - hit.size
+        if not hit.size:
+            return out
+        step = max(1, GRID_BYTES // (8 * n * int(self.lengths[cols[hit]].max())))
+        for lo in range(0, hit.size, step):
+            at = hit[lo : lo + step]
+            block = cols[at]
             width = int(self.lengths[block].max())
-            grids = self.table[rows, self.padded[block, None, :width]]
-            out[lo : lo + step] = _match_batch(grids, np.minimum(self.lengths[block], n))
+            grids = self.table[rows[:, None], self.padded[block, None, :width]]
+            out[at], dropped = _match_batch(grids, np.minimum(self.lengths[block], n))
+            stats["dropped_grids"] += dropped
         return out
 
-    def rows(self, bounds: tuple[int, int]) -> tuple[int, list[np.ndarray]]:
+    def rows(self, bounds: tuple[int, int]) -> tuple[int, list[np.ndarray], Counter]:
         lo, hi = bounds
-        return lo, [self.row(a) for a in range(lo, hi)]
+        stats: Counter = Counter()
+        return lo, [self.row(a, stats) for a in range(lo, hi)], stats
 
 
 def profile_similarity(p1, p2, word_sim) -> float:
@@ -169,7 +216,7 @@ def profile_similarity(p1, p2, word_sim) -> float:
         scorer = _SetScorer([wa], [True], word_sim)
     else:
         scorer = _SetScorer([wa, wb], [False, False], word_sim)
-    return float(scorer.row(0)[0])
+    return float(scorer.row(0, Counter())[0])
 
 
 class SimilarityMatrix:
@@ -316,7 +363,10 @@ def build_similarity_matrix(
     ``workers > 1``, forked processes score contiguous ranges of distinct
     word sets from the finished word table; the result is the same.
     ``progress``, when given, is called with ``(done_pairs, total_pairs)``
-    in profile pairs after each range.
+    in profile pairs after each range.  One INFO log line gives the
+    distinct set pairs scored, how many of them were settled at 0 without
+    a grid, and how many grids left their batch before its last round,
+    summed over every range.
     """
     profiles = list(profiles)
     ids = [p.id for p in profiles]
@@ -336,15 +386,23 @@ def build_similarity_matrix(
         # profile pairs whose score each set row settles, for progress
         settled = mult * (mult.sum() - np.cumsum(mult)) + mult * (mult - 1) // 2
         done = 0
+        stats: Counter = Counter()
         # at least 16 chunks for progress, and 4 per worker to balance the pool
-        for lo, rows in _scored_chunks(scorer, _row_chunks(d, 4 * max(workers, 4)), workers):
+        for lo, rows, chunk_stats in _scored_chunks(scorer, _row_chunks(d, 4 * max(workers, 4)), workers):
             for a, row in enumerate(rows, start=lo):
                 cols = scorer.columns(a)
                 scores[a, cols] = row
                 scores[cols, a] = row
+            stats.update(chunk_stats)
             done += int(settled[lo : lo + len(rows)].sum())
             if progress is not None:
                 progress(done, total_pairs)
+        logger.info(
+            "matcher: %d distinct set pairs, %d settled at 0 with no cell above 0, %d grids left their rounds early",
+            d * (d - 1) // 2 + int(np.count_nonzero(mult > 1)),
+            stats["zero_pairs"],
+            stats["dropped_grids"],
+        )
 
     index = {s: a for a, s in enumerate(sets)}
     set_of = np.array([index[w] if w else d for w in words], dtype=np.intp)

@@ -409,6 +409,39 @@ class TestSimsBlockReader:
         artifacts.write_sims_tsv(path, matrix)
         self.assert_block_read(path, row_loop_reads, matrix)
 
+    @pytest.mark.parametrize("block", [16, 300, 2000, 1 << 16])
+    def test_groups_hold_at_most_a_block(self, tmp_path, monkeypatch, row_loop_reads, block):
+        monkeypatch.setattr(artifacts, "SIMS_READ_BLOCK", block)
+        rendered = []
+
+        def recorded(values):
+            rendered.append(len(values))
+            return format_sims(values)
+
+        format_sims = artifacts.format_sims
+        monkeypatch.setattr(artifacts, "format_sims", recorded)
+        path = tmp_path / "sims.tsv"
+        ids = [f"user{i:03d}" + "x" * (i % 7) + "日" * (i % 3) for i in range(40)]
+        matrix = micros_matrix(ids, seed=block)
+        artifacts.write_sims_tsv(path, matrix)
+        id_rows = {pid.encode(): 0 for pid in ids[:-1]}  # bytes of each id's rows, from the file
+        for line in path.read_bytes().splitlines(keepends=True):
+            id_rows[line.split(b"\t")[0]] += len(line)
+        id_rows = list(id_rows.values())
+        rendered.clear()
+        self.assert_block_read(path, row_loop_reads, matrix)
+
+        groups = artifacts._id_groups(np.array([len(pid.encode()) for pid in ids]))
+        assert [lo for lo, _ in groups] == [0] + [hi for _, hi in groups[:-1]]
+        assert groups[-1][1] == len(ids) - 1
+        # the fast path renders each group once, with that group's rows
+        assert rendered == [sum(len(ids) - 1 - i for i in range(lo, hi)) for lo, hi in groups]
+        for lo, hi in groups:
+            size = sum(id_rows[lo:hi])
+            assert size <= block or hi - lo == 1, (lo, hi, size)
+            # a group takes every id that still fits, so there are no more groups than needed
+            assert hi == len(ids) - 1 or size + id_rows[hi] > block, (lo, hi, size)
+
     def test_first_id_rows_span_blocks_and_rows_straddle_them(self, tmp_path, monkeypatch, row_loop_reads):
         monkeypatch.setattr(artifacts, "SIMS_READ_BLOCK", 64)
         path = tmp_path / "sims.tsv"

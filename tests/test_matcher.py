@@ -1,8 +1,10 @@
 """Greedy profile matching and similarity matrix construction."""
 
 import gc
+import logging
 import random
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -19,16 +21,16 @@ from tagrec.profiles import Profile
 from conftest import table_word_sim
 
 
-def greedy_oracle(rows, cols, word_sim):
+def greedy_oracle(rows, cols, word_sim, rounds=None):
     """Independent re-implementation: materialize the grid, scan all cells
     every round, overwrite retired rows/columns with -1, stop when every
-    row or every column is retired."""
+    row or every column is retired, or after ``rounds`` rounds."""
     grid = [[word_sim(u, v) for v in cols] for u in rows]
     n, m = len(rows), len(cols)
     total, counter = 0.0, 0
     retired_rows: set[int] = set()
     retired_cols: set[int] = set()
-    while len(retired_rows) < n and len(retired_cols) < m:
+    while len(retired_rows) < n and len(retired_cols) < m and counter != rounds:
         best, br, bc = -2.0, -1, -1
         for i in range(n):
             for j in range(m):
@@ -360,3 +362,147 @@ class TestBatchedMatrix:
         ]
         matrix = build_similarity_matrix(profiles, never)
         assert matrix.condensed.tolist() == [0.0, 0.0, 0.0]
+
+
+class TestMatchBatch:
+    """``_match_batch`` on padded batches of mostly-zero grids, grid by
+    grid against the oracle."""
+
+    @staticmethod
+    def check(cells, rounds) -> int:
+        """Match the grids ``cells`` (lists of rows) padded into one batch
+        and compare each score with the oracle's; returns how many grids
+        left the batch early."""
+        grids = np.full((len(cells), max(map(len, cells)), max(len(c[0]) for c in cells)), -1.0)
+        for g, c in enumerate(cells):
+            grids[g, : len(c), : len(c[0])] = c
+        got, dropped = matcher._match_batch(grids, np.array(rounds))
+        for g, (c, r) in enumerate(zip(cells, rounds)):
+            expected, counter = greedy_oracle(range(len(c)), range(len(c[0])), lambda i, j: c[i][j], rounds=r)
+            assert counter == r
+            assert got[g] == expected, (g, c, r)
+        return dropped
+
+    def test_all_zero_grids(self):
+        assert self.check([[[0.0] * 3] * 3] * 4, [3] * 4) == 4
+
+    def test_maximum_reaches_zero_midway(self):
+        positive = [[0.5, 0.0, 0.0], [0.0, 0.25, 0.0], [0.0, 0.0, 0.125]]
+        one_pick = [[0.5, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+        corner = [[0.0, 0.0, 0.75], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+        # the last two pick 0 in the second round, so they leave before the third
+        assert self.check([positive, one_pick, corner], [3, 3, 3]) == 2
+
+    def test_finished_grid_adds_no_more_picks(self):
+        # grid 0 has positive cells left after its one round, and the other
+        # two keep it in the batch for the second round
+        full = [[0.9, 0.8, 0.1], [0.7, 0.6, 0.2], [0.3, 0.4, 0.5]]
+        assert self.check([full, full, full], [1, 3, 2]) == 2
+        assert self.check([full, full, full], [1, 3, 3]) == 0
+
+    def test_ties_at_a_positive_value(self):
+        # the first maximum in row-major order is (0, 0); (0, 1) or (1, 0) would score more
+        tied = [[0.5, 0.5, 0.0], [0.5, 0.0, 0.3]]
+        assert self.check([tied], [2]) == 0
+        assert self.check([[[0.5] * 4] * 4, tied, [[0.0, 0.0]]], [4, 2, 1]) == 2
+
+    def test_batch_cut_down_at_half(self):
+        live = [[0.5, 0.25, 0.0, 0.0], [0.25, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.125], [0.0, 0.0, 0.0, 0.0]]
+        zero = [[0.0] * 4] * 4
+        # 6 of 10 grids finish in the first round; the 4 left finish after 3 rounds
+        assert self.check([zero] * 6 + [live] * 4, [4] * 10) == 10
+        # 5 of 11 finish: more than half are live, so all leave together
+        assert self.check([zero] * 5 + [live] * 6, [4] * 11) == 11
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_mostly_zero_batches(self, seed):
+        rng = random.Random(seed)
+        dropped = 0
+        for _ in range(25):
+            n = rng.randint(1, 6)
+            cells, rounds = [], []
+            for _ in range(rng.choice([1, 2, 3, 8, 40])):
+                rows, cols = rng.randint(1, n), rng.randint(1, 7)
+                zero_share = rng.choice([1.0, 0.9, 0.7, 0.3])
+                levels = rng.choice([2, 4, 0])  # few levels tie at positive values
+
+                def cell():
+                    if rng.random() < zero_share:
+                        return 0.0
+                    return rng.randint(1, levels) / levels if levels else rng.random()
+
+                cells.append([[cell() for _ in range(cols)] for _ in range(rows)])
+                full = min(rows, cols)
+                rounds.append(full if rng.random() < 0.7 else rng.randint(1, full))
+            dropped += self.check(cells, rounds)
+        assert dropped  # some batches were cut down
+
+
+class TestZeroPairFilter:
+    """A set pair with no word similarity above 0 scores 0 without being
+    matched, and the build logs how many such pairs it settled."""
+
+    @staticmethod
+    def sparse_profiles():
+        rng = random.Random(77)
+        pool = [f"w{i}" for i in range(20)]
+        # a few distinct word pairs are similar, every other one is 0
+        table = {frozenset(rng.sample(pool, 2)): rng.choice([0.25, 0.5, 0.75]) for _ in range(8)}
+        distinct = [frozenset(rng.sample(pool, rng.randint(1, 4))) for _ in range(25)]
+        profiles = [Profile(id=f"p{i}", words=rng.choice(distinct)) for i in range(60)]
+        profiles.append(Profile(id="empty", words=frozenset()))
+        return profiles, table_word_sim(table)
+
+    @staticmethod
+    def logged_counts(caplog) -> tuple:
+        (record,) = [r for r in caplog.records if r.name == "tagrec.matcher" and r.msg.startswith("matcher:")]
+        return record.args
+
+    @pytest.mark.parametrize(
+        "workers, grid_bytes",
+        [(1, matcher.GRID_BYTES), (2, matcher.GRID_BYTES), (1, 2048)],
+        ids=["serial", "two-workers", "small-blocks"],
+    )
+    def test_zero_pairs_never_matched(self, monkeypatch, caplog, workers, grid_bytes):
+        monkeypatch.setattr(matcher, "GRID_BYTES", grid_bytes)
+        caplog.set_level(logging.INFO, logger="tagrec.matcher")
+        profiles, sw = self.sparse_profiles()
+        matched = []
+        match_batch = matcher._match_batch
+
+        def counted(grids, rounds):
+            # raises in a forked worker too, which the pool passes on
+            assert (grids.reshape(len(grids), -1).max(axis=1) > 0).all(), "a grid with no cell above 0 was matched"
+            matched.append(len(grids))
+            return match_batch(grids, rounds)
+
+        monkeypatch.setattr(matcher, "_match_batch", counted)
+        matrix = build_similarity_matrix(profiles, sw, workers=workers)
+
+        k = 0
+        for i in range(len(profiles)):
+            for j in range(i + 1, len(profiles)):
+                rows, cols = sorted((tuple(sorted(profiles[i].words)), tuple(sorted(profiles[j].words))))
+                expected = greedy_oracle(rows, cols, sw)[0] if rows else 0.0
+                assert matrix.condensed[k] == np.float32(expected), (i, j)
+                k += 1
+
+        sets = sorted({tuple(sorted(p.words)) for p in profiles if p.words})
+        shared = {s for s in sets if sum(tuple(sorted(p.words)) == s for p in profiles) > 1}
+        pairs = list(combinations(sets, 2)) + [(s, s) for s in shared]
+        positive = sum(any(sw(u, v) > 0 for u in a for v in b) for a, b in pairs)
+        assert 0 < positive < len(pairs) / 2
+        assert self.logged_counts(caplog)[:2] == (len(pairs), len(pairs) - positive)
+        if workers == 1:
+            assert sum(matched) == positive
+
+    def test_counts_do_not_depend_on_workers(self, caplog):
+        caplog.set_level(logging.INFO, logger="tagrec.matcher")
+        profiles, sw = self.sparse_profiles()
+        counts = []
+        for workers in (1, 2):
+            caplog.clear()
+            build_similarity_matrix(profiles, sw, workers=workers)
+            counts.append(self.logged_counts(caplog))
+        assert counts[0] == counts[1]
+        assert counts[0][2] > 0  # some grids left their batch early
