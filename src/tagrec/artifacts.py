@@ -10,16 +10,17 @@ file in chunks instead of building the whole file in memory.
 
 ``sims.tsv`` holds one row per pair in the matrix's storage order,
 ``(ids[0], ids[1]), (ids[0], ids[2]), ..., (ids[n-2], ids[n-1])``; its
-reader accepts that order only.  Its writer formats every similarity at
-once in numpy (:func:`format_sims`, the one implementation of the
-6-decimal format, shared with ``recommendations.tsv``) and emits the
-rows of each ``ids[i]`` as one chunk laid out by :func:`_sims_rows`, the
-one definition of the file's layout.  The reader's fast path accepts
-exactly what the writer writes: it decodes groups of rows of about
-64 KiB and keeps them only if :func:`_sims_rows` re-renders the same
-bytes.  Every other file (another number form, a ``\\r``, a blank line,
-a bad row) is read again by a row loop, which names the first bad row in
-its error.
+reader accepts that order only.  Its writer and its reader walk the file
+in the same groups of consecutive ids' rows, of at most about 64 KiB,
+which only :func:`_id_groups` bounds.  :func:`_sims_rows`, the one
+definition of the file's layout, renders one group: it formats the
+group's similarities in numpy (:func:`format_sims`, the one
+implementation of the 6-decimal format, shared with
+``recommendations.tsv``) and lays out its rows.  The writer writes one
+rendered group at a time.  The reader's fast path decodes each group and
+keeps it only if :func:`_sims_rows` renders the same bytes.  Every other
+file (another number form, a ``\\r``, a blank line, a bad row) is read
+again by a row loop, which names the first bad row in its error.
 
 One pipeline run keeps one :class:`FileHashes`: it hashes each file
 version once and parses each ``sims.tsv`` version once, so the stages
@@ -28,6 +29,7 @@ after the first reader reuse the parsed matrix.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import hashlib
 import itertools
@@ -214,37 +216,39 @@ def read_profiles_tsv(path) -> list[Profile]:
 def write_sims_tsv(path, matrix: SimilarityMatrix) -> None:
     """``id_i<TAB>id_j<TAB>sim`` for i < j in storage order, 6 decimals.
 
-    All values are formatted at once by :func:`format_sims`.  The rows of
-    each ``ids[i]`` are laid out by :func:`_sims_rows` as one chunk,
-    written as it is made, so no text beyond one id's rows is held.
+    The file is written one group of :func:`_id_groups` at a time, each
+    rendered by :func:`_sims_rows` from that group's own values, so no
+    text or formatted cell beyond one group is held.  A value that
+    :func:`format_sims` refuses raises before ``path`` is replaced.
     """
     encoded = [pid.encode() for pid in matrix.ids]
-    cells = format_sims(matrix.condensed)
-
-    def chunks():
-        start = 0
-        for i, a in enumerate(encoded):
-            end = start + len(encoded) - 1 - i
-            yield _sims_rows(a + b"\t", encoded[i + 1 :], cells[start:end]).decode()
-            start = end
-
-    atomic_write_text(path, chunks())
+    chunks = (_sims_rows(encoded, ids, matrix.condensed[pairs]).decode() for ids, pairs, _ in _id_groups(encoded))
+    atomic_write_text(path, chunks)
 
 
-def _sims_rows(prefix: bytes, later_ids: list[bytes], cells: np.ndarray) -> bytes:
-    """One id's rows of ``sims.tsv``: ``prefix`` (that id and a tab), then
-    each later id and its :func:`format_sims` cell.
+def _sims_rows(encoded: list[bytes], ids: range, values: np.ndarray) -> bytes:
+    """The rows of ``encoded[i]`` for each ``i`` in ``ids``, a group of
+    :func:`_id_groups`: that id, a tab, each later id and the
+    :func:`format_sims` cell of ``values``, the group's similarities in
+    storage order.
 
     This is the one definition of the file's layout: the writer emits it,
     and the fast path of :func:`read_sims_tsv` accepts only what it gives.
     """
-    parts = [prefix] * (3 * len(later_ids))
-    parts[1::3] = later_ids
-    parts[2::3] = cells.tolist()
-    return b"".join(parts)
+    cells = format_sims(values).tolist()
+    rows = []
+    # joined per id: bytes.join keeps an 80-byte record per part, several times the bytes of the rows
+    for i in ids:
+        later = encoded[i + 1 :]
+        parts = [encoded[i] + b"\t"] * (3 * len(later))
+        parts[1::3] = later
+        parts[2::3] = cells[: len(later)]
+        del cells[: len(later)]  # the next id's cells come first now
+        rows.append(b"".join(parts))
+    return b"".join(rows)
 
 
-SIMS_READ_BLOCK = 1 << 16  # most bytes of rows that read_sims_tsv reads and re-renders at once, bar one id's rows
+SIMS_READ_BLOCK = 1 << 16  # most bytes of rows in one group of sims.tsv, written or read at once, bar one id's rows
 _MICROS = np.array([1e6, 0, 1e5, 1e4, 1e3, 100, 10, 1])  # place value of each byte of a "D.DDDDDD" cell
 
 
@@ -254,13 +258,12 @@ def read_sims_tsv(path) -> SimilarityMatrix:
     Rows must come in storage order, the order of
     ``itertools.combinations(ids, 2)`` that :func:`write_sims_tsv` emits.
     The fast path accepts exactly the files that :func:`write_sims_tsv`
-    writes.  The first id's rows name the ids, so the length of every row
-    is known: the file is read in groups of consecutive ids of at most
-    ``SIMS_READ_BLOCK`` bytes (or one id's rows), the 8-byte cell that
-    ends each line is decoded from its digits (``micros / 1e6`` is the
-    double ``float()`` returns), and a group is accepted only if
-    :func:`format_sims` and :func:`_sims_rows` give back its exact bytes
-    from those ids and values.  The file must end after the last group.
+    writes.  The first id's rows name the ids, so the groups the writer
+    wrote are known: the file is read in the groups of :func:`_id_groups`,
+    the 8 bytes before each newline of a group are decoded as its cells
+    (``micros / 1e6`` is the double ``float()`` returns), and a group is
+    accepted only if :func:`_sims_rows` gives back its exact bytes from
+    those ids and values.  The file must end after the last group.
     Beyond the matrix, it holds one group and its numpy temporaries.
 
     Every other file is read again from the start by the row loop
@@ -283,7 +286,7 @@ def _read_sims_written(path) -> SimilarityMatrix | None:
                 return None
             n = len(encoded)
             matrix = SimilarityMatrix([pid.decode() for pid in encoded], np.empty(n * (n - 1) // 2, dtype=np.float32))
-            if n and not _read_groups(fh, encoded, matrix.condensed):
+            if not _read_groups(fh, encoded, matrix.condensed):
                 return None
             return None if fh.read(1) else matrix
     except (OSError, UnicodeDecodeError):
@@ -307,52 +310,55 @@ def _first_id_pairs(fh) -> list[bytes] | None:
     return ids if len(set(ids)) == len(ids) else None
 
 
-def _id_groups(lengths: np.ndarray) -> list[tuple[int, int]]:
-    """Consecutive id ranges ``[lo, hi)`` that cover the ids with rows,
-    ``0`` to ``n - 2`` for ``n`` ids of the given byte ``lengths``.  The
-    rows of a range take at most ``SIMS_READ_BLOCK`` bytes, unless they
-    are the rows of one id alone."""
-    n = lengths.size
+def _id_groups(encoded: list[bytes]) -> list[tuple[range, slice, int]]:
+    """The groups that ``sims.tsv`` of the ``encoded`` ids is written and
+    read in, each as ``(ids, pairs, size)``: the range of ids whose rows
+    it holds, the slice of their pairs in storage order, and the bytes of
+    those rows.
+
+    This is the one place that knows where each group begins and ends.
+    The groups cover ids ``0`` to ``n - 2`` in order, and each takes
+    every next id whose rows still fit in ``SIMS_READ_BLOCK`` bytes; a
+    group of one id may be larger.  Fewer than 2 ids have no rows and so
+    no group.
+    """
+    n = len(encoded)
+    lengths = np.array([len(pid) for pid in encoded[:-1]], dtype=np.int64)
     # id i has n-1-i rows of len_i + len_j + 11 bytes: two tabs, "D.DDDDDD" and "\n"
-    later = np.cumsum(lengths[::-1])[::-1] - lengths  # bytes of the ids after i
-    ends = np.cumsum((n - 1 - np.arange(n - 1)) * (lengths[:-1] + 11) + later[:-1])
+    rows = n - 1 - np.arange(n - 1)
+    later = sum(map(len, encoded)) - np.cumsum(lengths)  # bytes of the ids after i
+    starts = [0, *np.cumsum(rows * (lengths + 11) + later).tolist()]  # first byte of each id's rows
+    pair_starts = [0, *np.cumsum(rows).tolist()]
     bounds = [0]
     while bounds[-1] < n - 1:
         lo = bounds[-1]
-        limit = (ends[lo - 1] if lo else 0) + SIMS_READ_BLOCK
-        bounds.append(max(lo + 1, int(np.searchsorted(ends, limit, side="right"))))
-    return list(zip(bounds, bounds[1:]))
+        fits = bisect.bisect_right(starts, starts[lo] + SIMS_READ_BLOCK) - 1  # the rows of ids lo..fits-1 fit
+        bounds.append(max(lo + 1, fits))
+    return [
+        (range(lo, hi), slice(pair_starts[lo], pair_starts[hi]), starts[hi] - starts[lo])
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
 
 
 def _read_groups(fh, encoded: list[bytes], condensed: np.ndarray) -> bool:
-    """Read the rows of ``encoded`` (two ids or more) from the start of
-    ``fh`` into ``condensed``, in the groups of :func:`_id_groups`;
-    ``False`` at the first group that is not what :func:`_sims_rows`
-    lays out."""
-    n = len(encoded)
-    lengths = np.array([len(pid) for pid in encoded])
+    """Read the rows of ``encoded`` from the start of ``fh`` into
+    ``condensed``, in the groups of :func:`_id_groups`; ``False`` at the
+    first group that is not what :func:`_sims_rows` renders."""
     fh.seek(0)
-    done = 0  # pairs read so far
-    for lo, hi in _id_groups(lengths):
-        group = range(lo, hi)
-        line_ends = np.cumsum(np.concatenate([lengths[i + 1 :] + (lengths[i] + 11) for i in group]))
-        block = fh.read(int(line_ends[-1]))
-        if len(block) != line_ends[-1]:
+    for ids, pairs, size in _id_groups(encoded):
+        block = fh.read(size)
+        data = np.frombuffer(block, dtype=np.uint8)
+        ends = np.flatnonzero(data == ord("\n"))
+        # the writer's group holds one newline per pair, each after an 8-byte cell
+        if len(block) != size or ends.size != pairs.stop - pairs.start or ends[0] < 8:
             return False
-        cells = sliding_window_view(np.frombuffer(block, dtype=np.uint8), 8)[line_ends - 9]
+        cells = sliding_window_view(data, 8)[ends - 8]
         micros = (cells - np.uint8(ord("0"))) @ _MICROS  # any bytes decode; the re-rendering keeps only digits
         if micros.max() > 1_000_000:  # format_sims refuses a value above 1
             return False
-        values = condensed[done : done + micros.size]
-        values[:] = micros / 1e6
-        rendered, start, rows = format_sims(values), 0, []
-        for i in group:
-            end = start + n - 1 - i
-            rows.append(_sims_rows(encoded[i] + b"\t", encoded[i + 1 :], rendered[start:end]))
-            start = end
-        if b"".join(rows) != block:
+        condensed[pairs] = micros / 1e6
+        if _sims_rows(encoded, ids, condensed[pairs]) != block:
             return False
-        done += micros.size
     return True
 
 

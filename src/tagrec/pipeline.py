@@ -45,8 +45,13 @@ def compute_profiles(users_path, lexicon_path, bigrams_path, bigram_floor: float
 def compute_simmatrix(
     profiles_path, synsets_path, edges_path, counts_path, ic_cap: float, workers: int, out_path
 ) -> None:
-    taxonomy = load_taxonomy(synsets_path, edges_path, counts_path, ic_cap=ic_cap)
     profiles = artifacts.read_profiles_tsv(profiles_path)
+    if len(profiles) < 2:
+        raise InputError(
+            f"{profiles_path} holds {len(profiles)} profile(s); a similarity matrix needs at least 2, "
+            "because sims.tsv names its ids only in its pair rows"
+        )
+    taxonomy = load_taxonomy(synsets_path, edges_path, counts_path, ic_cap=ic_cap)
 
     def progress(done, total):
         logger.info("[simmatrix] %d/%d pairs", done, total)

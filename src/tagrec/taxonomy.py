@@ -61,6 +61,9 @@ class Taxonomy:
         self.parents = {sid: frozenset(parents.get(sid, ())) for sid in synsets}
         self.roots = frozenset(sid for sid, ps in self.parents.items() if not ps)
         self.ic_cap = float(ic_cap)
+        # a cap at or below 0 flattens every IC to the cap, and inf or nan can make Lin scores NaN
+        if not 0.0 < self.ic_cap < math.inf:
+            raise InputError(f"ic_cap must be a positive finite number, got {ic_cap}")
 
         self._check_edges()
         self._check_acyclic()

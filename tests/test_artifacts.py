@@ -324,8 +324,9 @@ class TestSimsWriter:
             tracemalloc.stop()
         assert (tmp_path / "again.tsv").read_bytes() == sims.read_bytes()
         # 124,750 pairs: the per-row "{:.6f}" writer peaked at 13.6 MB, the
-        # block writer at 2.6 MB (10 bytes of digits per pair plus one block).
-        assert peak < 5 * 2**20
+        # writer that formatted every cell at once at 2.6 MB (10 bytes per
+        # pair), and the group writer at about 0.3 MB (one group of rows).
+        assert peak < 2**20
         gc.collect()
         tracemalloc.start()
         try:
@@ -431,7 +432,7 @@ class TestSimsBlockReader:
         rendered.clear()
         self.assert_block_read(path, row_loop_reads, matrix)
 
-        groups = artifacts._id_groups(np.array([len(pid.encode()) for pid in ids]))
+        groups = [(rows.start, rows.stop) for rows, _, _ in artifacts._id_groups([pid.encode() for pid in ids])]
         assert [lo for lo, _ in groups] == [0] + [hi for _, hi in groups[:-1]]
         assert groups[-1][1] == len(ids) - 1
         # the fast path renders each group once, with that group's rows
@@ -441,6 +442,47 @@ class TestSimsBlockReader:
             assert size <= block or hi - lo == 1, (lo, hi, size)
             # a group takes every id that still fits, so there are no more groups than needed
             assert hi == len(ids) - 1 or size + id_rows[hi] > block, (lo, hi, size)
+
+    @pytest.mark.parametrize("block", [16, 300, 1 << 16])
+    def test_writer_writes_the_groups(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(artifacts, "SIMS_READ_BLOCK", block)
+        chunks = []
+        atomic_write_text = artifacts.atomic_write_text
+
+        def recorded(path, texts):
+            texts = list(texts)
+            chunks.extend(text.encode() for text in texts)
+            atomic_write_text(path, texts)
+
+        monkeypatch.setattr(artifacts, "atomic_write_text", recorded)
+        ids = [f"user{i:03d}" + "x" * (i % 7) + "日" * (i % 3) for i in range(40)]
+        encoded = [pid.encode() for pid in ids]
+        path = tmp_path / "sims.tsv"
+        artifacts.write_sims_tsv(path, micros_matrix(ids, seed=block))
+        groups = artifacts._id_groups(encoded)
+        assert len(chunks) == len(groups)
+        for chunk, (rows, _, size) in zip(chunks, groups):
+            assert len(chunk) == size
+            assert [line.split(b"\t")[0] for line in chunk.splitlines()] == [
+                encoded[i] for i in rows for _ in encoded[i + 1 :]
+            ]
+        assert b"".join(chunks) == path.read_bytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 40])
+    @pytest.mark.parametrize("block", [16, 300, 1 << 16])
+    def test_groups_cover_the_pairs_and_the_file(self, tmp_path, monkeypatch, n, block):
+        monkeypatch.setattr(artifacts, "SIMS_READ_BLOCK", block)
+        ids = [f"u{i}" + "é" * (i % 4) for i in range(n)]
+        path = tmp_path / "sims.tsv"
+        artifacts.write_sims_tsv(path, micros_matrix(ids))
+        groups = artifacts._id_groups([pid.encode() for pid in ids])
+        assert (groups == []) == (n < 2)
+        slices = [pairs for _, pairs, _ in groups]
+        # each group's pairs start where the last group's stop, from 0 to the last pair
+        assert [s.start for s in slices] + [n * (n - 1) // 2] == [0] + [s.stop for s in slices]
+        for rows, group_pairs, _ in groups:
+            assert group_pairs.stop - group_pairs.start == sum(n - 1 - i for i in rows)
+        assert sum(size for *_, size in groups) == path.stat().st_size
 
     def test_first_id_rows_span_blocks_and_rows_straddle_them(self, tmp_path, monkeypatch, row_loop_reads):
         monkeypatch.setattr(artifacts, "SIMS_READ_BLOCK", 64)
@@ -464,6 +506,14 @@ class TestSimsBlockReader:
             path.write_bytes(path.read_bytes()[:-1])
             self.assert_block_read(path, row_loop_reads, matrix, row_loop=True)
             row_loop_reads.clear()
+
+    def test_newline_before_a_short_group_cell(self, tmp_path, monkeypatch, row_loop_reads):
+        # the last group, "c\td" alone, is read as "\nc\td\t0.500000": one newline, with no cell before it
+        monkeypatch.setattr(artifacts, "SIMS_READ_BLOCK", 16)
+        path = tmp_path / "sims.tsv"
+        rows = sims_text("a b 0.500000", "a c 0.250000", "a d 0.250000", "b c 0.500000", "b d 0.500000")
+        path.write_text(rows + "\nc\td\t0.500000", encoding="utf-8")
+        self.assert_block_read(path, row_loop_reads, row_loop=True)
 
     @pytest.mark.parametrize("cell", ["0.25", "1", "1e-1", " 0.5", "0.5 ", "0", "1.0000000", "+0.5", "-0.0"])
     def test_other_cell_forms_parsed_by_float(self, tmp_path, row_loop_reads, cell):

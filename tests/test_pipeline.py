@@ -167,6 +167,25 @@ class TestRunAll:
         err = capsys.readouterr().err
         assert "profiles" in err and "lexicon" in err
 
+    @pytest.mark.parametrize("users", [USERS.splitlines(keepends=True)[0], ""], ids=["one user", "no users"])
+    def test_fewer_than_two_profiles_fail_at_simmatrix(self, users, tmp_path, capsys):
+        # sims.tsv names its ids only in its pair rows, so it cannot carry a matrix of one id
+        users_file = tmp_path / "users.tsv"
+        users_file.write_text(users, encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert main(base_args(users_file, out_dir)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 'simmatrix': ")
+        assert f"holds {len(users.splitlines())} profile(s)" in err
+        assert not (out_dir / "sims.tsv").exists()
+
+    def test_negative_ic_cap_fails_at_simmatrix(self, users_file, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert main(base_args(users_file, out_dir) + ["--ic-cap", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 'simmatrix': ic_cap must be a positive finite number, got -1.0")
+        assert not (out_dir / "sims.tsv").exists()
+
     @pytest.mark.parametrize(
         "edit",
         [lambda meta: [], lambda meta: {**meta, "inputs": {**meta["inputs"], "users": "abc"}}],

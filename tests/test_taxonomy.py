@@ -99,6 +99,11 @@ class TestPropagation:
         with pytest.raises(InputError):
             make_taxonomy({"n1": -1, "n2": 1, "n3": 1, "n4": 1})
 
+    @pytest.mark.parametrize("ic_cap", [-1.0, 0.0, math.inf, math.nan])
+    def test_ic_cap_not_positive_finite_rejected(self, ic_cap):
+        with pytest.raises(InputError, match="ic_cap must be a positive finite number"):
+            make_taxonomy({"n1": 5, "n2": 1, "n3": 0, "n4": 0}, ic_cap=ic_cap)
+
 
 class TestStructure:
     def test_cycle_detected(self):
