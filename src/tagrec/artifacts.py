@@ -5,7 +5,7 @@ runs never leave a corrupt artifact, and is accompanied by a
 ``<name>.meta.json`` sidecar recording parameters, input hashes, the
 output hash and a digest of the package source (:func:`code_sha256`).  A
 stage is considered cached when its sidecar still matches the current
-inputs, parameters and source.  Writers stream their text to the temp
+inputs, parameters and source.  Writers stream their output to the temp
 file in chunks instead of building the whole file in memory.
 
 ``sims.tsv`` holds one row per pair in the matrix's storage order,
@@ -49,16 +49,17 @@ from tagrec.profiles import Profile
 from tagrec.tsv import read_rows
 
 
-def atomic_write_text(path, chunks) -> None:
+def atomic_write(path, chunks, encoding: str | None = "utf-8") -> None:
     """Write ``chunks``, a string or an iterable of strings, to ``path``
-    through a temp file in the same directory and a rename."""
+    through a temp file in the same directory and a rename.  With
+    ``encoding=None``, the chunks are bytes, written as they are."""
     if isinstance(chunks, str):
         chunks = (chunks,)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "wb" if encoding is None else "w", encoding=encoding) as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -68,7 +69,7 @@ def atomic_write_text(path, chunks) -> None:
 
 
 def write_tsv(path, rows) -> None:
-    atomic_write_text(path, ("\t".join(str(f) for f in row) + "\n" for row in rows))
+    atomic_write(path, ("\t".join(str(f) for f in row) + "\n" for row in rows))
 
 
 def format_sims(values) -> np.ndarray:
@@ -170,7 +171,7 @@ def write_sidecar(
         "output_sha256": hashes(artifact_path),
         "elapsed_seconds": round(elapsed, 3),
     }
-    atomic_write_text(sidecar_path(artifact_path), json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    atomic_write(sidecar_path(artifact_path), json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def stage_is_cached(artifact_path, stage: str, params: dict, inputs: dict, hashes: FileHashes | None = None) -> bool:
@@ -222,8 +223,8 @@ def write_sims_tsv(path, matrix: SimilarityMatrix) -> None:
     :func:`format_sims` refuses raises before ``path`` is replaced.
     """
     encoded = [pid.encode() for pid in matrix.ids]
-    chunks = (_sims_rows(encoded, ids, matrix.condensed[pairs]).decode() for ids, pairs, _ in _id_groups(encoded))
-    atomic_write_text(path, chunks)
+    chunks = (_sims_rows(encoded, ids, matrix.condensed[pairs]) for ids, pairs, _ in _id_groups(encoded))
+    atomic_write(path, chunks, encoding=None)
 
 
 def _sims_rows(encoded: list[bytes], ids: range, values: np.ndarray) -> bytes:
@@ -459,4 +460,4 @@ def recommendation_lines(recommendations) -> list[str]:
 
 def write_recommendations_tsv(path, recommendations) -> None:
     """:func:`recommendation_lines` of ``recommendations`` as a file."""
-    atomic_write_text(path, recommendation_lines(recommendations))
+    atomic_write(path, recommendation_lines(recommendations))

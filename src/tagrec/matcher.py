@@ -19,23 +19,28 @@ build scores each distinct non-empty word set once, in numpy batches:
    once for each unordered word pair that meets in some grid, and for no
    other pair, in the calling process.
 2. Greedy rounds.  A set is scored against the later sets (and against
-   itself, when two profiles hold it).  A set none of whose words has a
-   similarity above 0 to a word of the row set scores 0 and is never
-   gathered: its rounds would add only zeros.  The grids of the other
-   sets are gathered from the table in blocks, each one
-   ``(m, rows, cols)`` array padded with the sentinel, and their greedy
-   rounds run together.  No such array is larger than ``GRID_BYTES``
-   unless a single grid is.  A grid is finished after its last round or
-   after a round whose pick is 0, since each later pick would add +0.0;
-   once half a block or fewer is unfinished, the finished grids are
-   dropped from it.  ``build_similarity_matrix`` logs how many set pairs
-   were settled at 0 and how many grids were dropped.
-3. Gather.  The set x set scores are copied into the condensed profile
-   matrix one profile row at a time; empty profiles score 0.
+   itself, when two profiles hold it), and the sets are scored in
+   contiguous ranges of rows.  A pair of sets with no word similarity
+   above 0 between them scores 0 and is never gathered: its rounds would
+   add only zeros.  ``reach``, which words each set has a similarity
+   above 0 to, is built once for all sets and finds these pairs for a
+   whole range at once.  The other pairs of the range, from all its
+   rows, are sorted by the sizes of their two sets and gathered from the
+   table in batches, each one ``(m, rows, cols)`` array padded with the
+   sentinel, and their greedy rounds run together.  No such array is
+   larger than ``GRID_BYTES`` unless a single grid is.  A grid is
+   finished after its last round or after a round whose pick is 0, since
+   each later pick would add +0.0; once half a batch or fewer is
+   unfinished, the finished grids are dropped from it.
+   ``build_similarity_matrix`` logs how many set pairs were settled at 0,
+   how many grids were dropped and how many batches were matched.
+3. Gather.  Each range's pair scores are scattered into a set x set
+   matrix, both ways, which is copied into the condensed profile matrix
+   one profile row at a time; empty profiles score 0.
 
 Besides the grids, the build holds the table, (V + 1)^2 float64 for V
-distinct profile words, and the set x set scores, (D + 1)^2 float32 for D
-distinct word sets.
+distinct profile words, ``reach``, D x (V + 1) bool for D distinct word
+sets, and the set x set scores, (D + 1)^2 float32.
 """
 
 from __future__ import annotations
@@ -137,68 +142,88 @@ class _SetScorer:
     so set a is the row side of every grid it is scored in.  Only sets
     with ``shared[a]`` true are scored against themselves.  The word table
     is filled on construction, by ``similarity_table`` when it is given and
-    by asking ``word_sim`` otherwise.
+    by asking ``word_sim`` otherwise, and so is ``reach``, a D x (V + 1)
+    bool array for D sets and V words: ``reach[a, v]`` is true when some
+    word of set a has a similarity above 0 to word v.  It is built a few
+    sets at a time, so no (V + 1)^2 copy of the table is held, and once,
+    before any worker is forked.
     """
 
     def __init__(self, sets: list[tuple[str, ...]], shared, word_sim, similarity_table=None):
         vocab = sorted(set().union(*sets))
         pos = {w: i for i, w in enumerate(vocab)}
-        self.shared = shared
+        self.shared = np.asarray(shared, dtype=bool)
         self.lengths = np.array([len(s) for s in sets], dtype=np.intp)
         # word indices of each set, padded with the sentinel index V
         self.padded = np.full((len(sets), int(self.lengths.max())), len(vocab), dtype=np.intp)
         for a, s in enumerate(sets):
             self.padded[a, : len(s)] = [pos[w] for w in s]
         if similarity_table is None:
-            self.table = _word_table(vocab, self.padded, self.lengths, shared, word_sim)
+            self.table = _word_table(vocab, self.padded, self.lengths, self.shared, word_sim)
         else:
             # Asking for one word more makes the builder's array the bordered
             # table itself, with no second V x V copy.
             self.table = similarity_table([*vocab, ""])
             self.table[-1, :] = -1.0
             self.table[:, -1] = -1.0
+        # Cells no scored grid holds are -1, and so is the sentinel row and
+        # column.  Each gather of table rows is at most the size of reach.
+        self.reach = np.empty((len(sets), len(vocab) + 1), dtype=bool)
+        step = max(1, self.reach.nbytes // (self.padded.shape[1] * self.table[0].nbytes))
+        for lo in range(0, len(sets), step):
+            (self.table[self.padded[lo : lo + step]] > 0).any(axis=1, out=self.reach[lo : lo + step])
 
-    def columns(self, a: int) -> np.ndarray:
-        """The sets that set ``a`` is scored against, ascending."""
-        return np.arange(a if self.shared[a] else a + 1, len(self.lengths))
+    def rows(self, bounds: tuple[int, int]) -> tuple[tuple[int, int], np.ndarray, np.ndarray, np.ndarray, Counter]:
+        """Float64 scores of the set pairs ``(a, b)`` that rows ``lo..hi-1``
+        are scored in: ``b > a``, or ``b == a`` when ``shared[a]``.
 
-    def row(self, a: int, stats: Counter) -> np.ndarray:
-        """Float64 scores of set ``a`` against each of ``columns(a)``.
-
-        A set whose words have no similarity above 0 to any word of ``a``
-        scores +0.0, as its greedy rounds would give, and its grid is
-        never gathered.  The other grids are matched in batches of at
-        most ``GRID_BYTES``.  ``stats`` counts the set pairs settled at 0
-        this way (``zero_pairs``) and the grids that left their batch
-        before its last round (``dropped_grids``).
+        Returns ``bounds``, the row and column sets of the pairs that were
+        matched, their scores, and ``stats``.  A pair whose two sets have no
+        word similarity above 0 between them is left out: it scores +0.0,
+        as its greedy rounds would give, and its grid is never gathered.
+        The other pairs are sorted by the sizes of their two sets and
+        matched across rows in batches, each gathered as one ``(m, rows,
+        cols)`` array padded with the sentinel at the bottom and the right,
+        of at most ``GRID_BYTES`` unless it holds a single grid.  Padding
+        cells are -1, so they never win while a real cell is left, and a
+        score does not depend on its batch.  ``stats`` counts the pairs
+        settled at 0 (``zero_pairs``), the ``_match_batch`` calls
+        (``batches``) and the grids that left their batch before its last
+        round (``dropped_grids``); the last depends on how the pairs are
+        batched.
         """
-        cols = self.columns(a)
-        out = np.zeros(cols.size)
-        if not cols.size:
-            return out
-        n = int(self.lengths[a])
-        rows = self.padded[a, :n]
-        # reach[v]: some word of a has a similarity above 0 to word v.
-        # Cells no scored grid holds are -1, and so is the sentinel column.
-        reach = (self.table[rows] > 0).any(axis=0)
-        hit = np.flatnonzero(reach[self.padded[cols]].any(axis=1))
-        stats["zero_pairs"] += cols.size - hit.size
-        if not hit.size:
-            return out
-        step = max(1, GRID_BYTES // (8 * n * int(self.lengths[cols[hit]].max())))
-        for lo in range(0, hit.size, step):
-            at = hit[lo : lo + step]
-            block = cols[at]
-            width = int(self.lengths[block].max())
-            grids = self.table[rows[:, None], self.padded[block, None, :width]]
-            out[at], dropped = _match_batch(grids, np.minimum(self.lengths[block], n))
-            stats["dropped_grids"] += dropped
-        return out
-
-    def rows(self, bounds: tuple[int, int]) -> tuple[int, list[np.ndarray], Counter]:
         lo, hi = bounds
         stats: Counter = Counter()
-        return lo, [self.row(a, stats) for a in range(lo, hi)], stats
+        first = np.arange(lo + 1, hi + 1) - self.shared[lo:hi]  # first column set of each row set
+        count = len(self.lengths) - first
+        a = np.repeat(np.arange(lo, hi), count)
+        b = np.arange(a.size) + np.repeat(first - (np.cumsum(count) - count), count)
+        hit = np.zeros(a.size, dtype=bool)
+        # one word position of every set b at a time, so no pair x word array
+        # is held; one flat index gathers about twice as fast as two
+        at = a * self.reach.shape[1]
+        for words in self.padded.T:
+            hit |= self.reach.take(at + words[b])
+        a, b = a[hit], b[hit]
+        stats["zero_pairs"] += hit.size - a.size
+        la, lb = self.lengths[a], self.lengths[b]
+        order = np.lexsort((lb, la))
+        a, b, la, lb = a[order], b[order], la[order], lb[order]
+        out = np.empty(a.size)
+        s = 0
+        while s < a.size:
+            # padded cells of a batch of grids s..e-1 for each e, which only
+            # grow with e; no batch of more than one grid holds more grids
+            # than GRID_BYTES // 8
+            window = slice(s, s + GRID_BYTES // 8)
+            cells = np.arange(1, la[window].size + 1) * la[window] * np.maximum.accumulate(lb[window])
+            e = s + max(1, int(np.searchsorted(cells, GRID_BYTES // 8, side="right")))
+            grids = self.table[self.padded[a[s:e], : la[e - 1], None], self.padded[b[s:e], None, : lb[s:e].max()]]
+            out[s:e], dropped = _match_batch(grids, np.minimum(la[s:e], lb[s:e]))
+            stats["dropped_grids"] += dropped
+            stats["batches"] += 1
+            s = e
+        return bounds, a, b, out, stats
 
 
 def profile_similarity(p1, p2, word_sim) -> float:
@@ -216,7 +241,8 @@ def profile_similarity(p1, p2, word_sim) -> float:
         scorer = _SetScorer([wa], [True], word_sim)
     else:
         scorer = _SetScorer([wa, wb], [False, False], word_sim)
-    return float(scorer.row(0, Counter())[0])
+    score = scorer.rows((0, 1))[3]
+    return float(score[0]) if score.size else 0.0
 
 
 class SimilarityMatrix:
@@ -339,11 +365,11 @@ def _row_chunks(n: int, n_chunks: int) -> list[tuple[int, int]]:
 
 
 def _scored_chunks(scorer: _SetScorer, chunks, workers: int):
-    if workers <= 1 or len(chunks) < 2:
+    if workers == 1 or len(chunks) < 2:
         yield from map(scorer.rows, chunks)
         return
     ctx = get_context("fork")
-    with ctx.Pool(processes=workers, initializer=_init_worker, initargs=(scorer,)) as pool:
+    with ctx.Pool(processes=min(workers, len(chunks)), initializer=_init_worker, initargs=(scorer,)) as pool:
         yield from pool.imap_unordered(_score_rows, chunks)
 
 
@@ -365,9 +391,14 @@ def build_similarity_matrix(
     ``progress``, when given, is called with ``(done_pairs, total_pairs)``
     in profile pairs after each range.  One INFO log line gives the
     distinct set pairs scored, how many of them were settled at 0 without
-    a grid, and how many grids left their batch before its last round,
-    summed over every range.
+    a grid, how many grids left their batch before its last round, and
+    how many batches were matched, summed over every range.  The last two
+    depend on how the pairs fall into ranges and batches; the scores do
+    not.  ``workers`` below 1 raises :class:`InputError`, and no more
+    processes are forked than there are ranges.
     """
+    if workers < 1:
+        raise InputError(f"workers must be at least 1, got {workers}")
     profiles = list(profiles)
     ids = [p.id for p in profiles]
     if len(set(ids)) != len(ids):
@@ -388,20 +419,20 @@ def build_similarity_matrix(
         done = 0
         stats: Counter = Counter()
         # at least 16 chunks for progress, and 4 per worker to balance the pool
-        for lo, rows, chunk_stats in _scored_chunks(scorer, _row_chunks(d, 4 * max(workers, 4)), workers):
-            for a, row in enumerate(rows, start=lo):
-                cols = scorer.columns(a)
-                scores[a, cols] = row
-                scores[cols, a] = row
+        for (lo, hi), a, b, score, chunk_stats in _scored_chunks(scorer, _row_chunks(d, 4 * max(workers, 4)), workers):
+            scores[a, b] = score
+            scores[b, a] = score
             stats.update(chunk_stats)
-            done += int(settled[lo : lo + len(rows)].sum())
+            done += int(settled[lo:hi].sum())
             if progress is not None:
                 progress(done, total_pairs)
         logger.info(
-            "matcher: %d distinct set pairs, %d settled at 0 with no cell above 0, %d grids left their rounds early",
+            "matcher: %d distinct set pairs, %d settled at 0 with no cell above 0, "
+            "%d grids left their rounds early, %d greedy batches",
             d * (d - 1) // 2 + int(np.count_nonzero(mult > 1)),
             stats["zero_pairs"],
             stats["dropped_grids"],
+            stats["batches"],
         )
 
     index = {s: a for a, s in enumerate(sets)}

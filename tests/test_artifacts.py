@@ -25,31 +25,31 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 class TestAtomicWrite:
     def test_writes_and_replaces(self, tmp_path):
         path = tmp_path / "x.tsv"
-        artifacts.atomic_write_text(path, "one\n")
-        artifacts.atomic_write_text(path, "two\n")
+        artifacts.atomic_write(path, "one\n")
+        artifacts.atomic_write(path, "two\n")
         assert path.read_text() == "two\n"
         assert list(tmp_path.iterdir()) == [path]  # no temp litter
 
     def test_creates_parent_dirs(self, tmp_path):
         path = tmp_path / "deep" / "nested" / "x.tsv"
-        artifacts.atomic_write_text(path, "ok\n")
+        artifacts.atomic_write(path, "ok\n")
         assert path.read_text() == "ok\n"
 
     def test_writes_chunks(self, tmp_path):
         path = tmp_path / "x.tsv"
-        artifacts.atomic_write_text(path, (f"{i}\n" for i in range(3)))
+        artifacts.atomic_write(path, (f"{i}\n" for i in range(3)))
         assert path.read_text() == "0\n1\n2\n"
 
     def test_failing_chunk_leaves_old_file(self, tmp_path):
         path = tmp_path / "x.tsv"
-        artifacts.atomic_write_text(path, "old\n")
+        artifacts.atomic_write(path, "old\n")
 
         def chunks():
             yield "new\n"
             raise InputError("stop")
 
         with pytest.raises(InputError):
-            artifacts.atomic_write_text(path, chunks())
+            artifacts.atomic_write(path, chunks())
         assert path.read_text() == "old\n"
         assert list(tmp_path.iterdir()) == [path]
 
@@ -447,14 +447,14 @@ class TestSimsBlockReader:
     def test_writer_writes_the_groups(self, tmp_path, monkeypatch, block):
         monkeypatch.setattr(artifacts, "SIMS_READ_BLOCK", block)
         chunks = []
-        atomic_write_text = artifacts.atomic_write_text
+        atomic_write = artifacts.atomic_write
 
-        def recorded(path, texts):
-            texts = list(texts)
-            chunks.extend(text.encode() for text in texts)
-            atomic_write_text(path, texts)
+        def recorded(path, written, encoding):
+            assert encoding is None
+            chunks.extend(written)
+            atomic_write(path, chunks, encoding)
 
-        monkeypatch.setattr(artifacts, "atomic_write_text", recorded)
+        monkeypatch.setattr(artifacts, "atomic_write", recorded)
         ids = [f"user{i:03d}" + "x" * (i % 7) + "日" * (i % 3) for i in range(40)]
         encoded = [pid.encode() for pid in ids]
         path = tmp_path / "sims.tsv"

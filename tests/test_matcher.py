@@ -5,6 +5,7 @@ import logging
 import random
 import tracemalloc
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -274,6 +275,46 @@ class TestParallelBuild:
         assert serial.ids == parallel.ids
         assert np.array_equal(serial.condensed, parallel.condensed)
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, worked_word_sim, workers):
+        profiles = [Profile(id="a", words=frozenset({"office"})), Profile(id="b", words=frozenset({"work"}))]
+        with pytest.raises(InputError, match="workers must be at least 1"):
+            build_similarity_matrix(profiles, worked_word_sim, workers=workers)
+
+    @pytest.mark.parametrize("sets, workers, forked", [(3, 8, 3), (40, 2, 2), (40, 8, 8)])
+    def test_forks_no_idle_processes(self, monkeypatch, sets, workers, forked):
+        pools = []
+
+        class Pool:
+            """Records the pool size and scores the chunks in this process."""
+
+            def __init__(self, processes, initializer, initargs):
+                pools.append(processes)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap_unordered(self, fn, chunks):
+                return map(fn, chunks)
+
+        monkeypatch.setattr(matcher, "get_context", lambda method: SimpleNamespace(Pool=Pool))
+        monkeypatch.setattr(matcher, "_WORKER", {})
+        words = [f"w{k}" for k in range(5)]
+        sw = random_word_sim(random.Random(5), words)
+        # profile i holds the words of the set bits of i + 1, so 40 profiles repeat sets
+        held = [frozenset(w for k, w in enumerate(words) if (i + 1) >> k & 1) for i in range(sets)]
+        profiles = [Profile(id=f"p{i}", words=w) for i, w in enumerate(held)]
+        chunks = matcher._row_chunks(len(set(held) - {frozenset()}), 4 * max(workers, 4))
+        assert len(chunks) >= 2
+        serial = build_similarity_matrix(profiles, sw)
+        forked_build = build_similarity_matrix(profiles, sw, workers=workers)
+        assert pools == [min(workers, len(chunks))] == [forked]
+        assert np.array_equal(forked_build.condensed, serial.condensed)
+
 
 class TestBatchedMatrix:
     """The whole batched matrix against the literal oracle, pair by pair."""
@@ -506,3 +547,71 @@ class TestZeroPairFilter:
             counts.append(self.logged_counts(caplog))
         assert counts[0] == counts[1]
         assert counts[0][2] > 0  # some grids left their batch early
+
+
+class TestCrossRowBatches:
+    """``_SetScorer.rows`` matches the pairs of many row sets in one batch."""
+
+    @staticmethod
+    def recorded_blocks(monkeypatch) -> list[tuple[int, int]]:
+        """Record the grid count and bytes of every block ``_match_batch`` gets."""
+        blocks = []
+        match_batch = matcher._match_batch
+
+        def recorded(grids, rounds):
+            blocks.append((len(grids), grids.nbytes))
+            return match_batch(grids, rounds)
+
+        monkeypatch.setattr(matcher, "_match_batch", recorded)
+        return blocks
+
+    @pytest.mark.parametrize("grid_bytes", [matcher.GRID_BYTES, 2048], ids=["default", "small-blocks"])
+    def test_blocks_fit_grid_bytes(self, monkeypatch, grid_bytes):
+        rng = random.Random(909)
+        pool = [f"w{i:02d}" for i in range(40)]
+        sets = sorted({tuple(sorted(rng.sample(pool, rng.randint(1, 12)))) for _ in range(150)})
+        shared = [rng.random() < 0.3 for _ in sets]
+        levels = np.random.default_rng(909).choice([0.0, 0.0, 0.0, 0.25, 0.5, 1.0], size=(len(pool), len(pool)))
+        levels = np.triu(levels) + np.triu(levels, 1).T
+
+        def table(words):
+            at = [pool.index(w) if w in pool else 0 for w in words]
+            return levels[np.ix_(at, at)].copy()
+
+        def never(a, b):
+            raise AssertionError("word_sim is not asked when a table builder is given")
+
+        default = matcher.GRID_BYTES
+        blocks = self.recorded_blocks(monkeypatch)
+        scored, batches = {}, {}
+        for limit in (default, grid_bytes):
+            monkeypatch.setattr(matcher, "GRID_BYTES", limit)
+            blocks.clear()
+            scorer = matcher._SetScorer(sets, shared, never, table)
+            _, a, b, scores, stats = scorer.rows((0, len(sets)))
+            assert stats["batches"] == len(blocks)
+            assert all(nbytes <= limit or grids == 1 for grids, nbytes in blocks)
+            scored[limit] = dict(zip(zip(a.tolist(), b.tolist()), scores.tolist()))
+            batches[limit] = len(blocks)
+        # by default, more grids than one block holds, from many row sets in each block
+        assert 1 < batches[default] < len(set(a.tolist())) / 4
+        # a score does not depend on how the pairs were batched
+        assert scored[grid_bytes] == scored[default]
+        for (i, j), score in rng.sample(sorted(scored[grid_bytes].items()), 150):
+            assert score == greedy_oracle(sets[i], sets[j], lambda u, v: levels[pool.index(u), pool.index(v)])[0]
+
+    def test_one_batch_of_mixed_shapes_with_ties(self, monkeypatch):
+        rng = random.Random(515)
+        pool = [f"w{i}" for i in range(9)]
+        # few levels, so grids tie at positive values
+        sw = table_word_sim({frozenset(p): rng.choice([0.0, 0.5, 0.5, 1.0]) for p in combinations(pool, 2)})
+        sets = sorted({tuple(sorted(rng.sample(pool, rng.randint(1, 5)))) for _ in range(40)})
+        blocks = self.recorded_blocks(monkeypatch)
+        scorer = matcher._SetScorer(sets, [True] * len(sets), sw)
+        _, a, b, scores, _ = scorer.rows((0, len(sets)))
+        ((grids, _),) = blocks
+        shapes = {(len(sets[i]), len(sets[j])) for i, j in zip(a.tolist(), b.tolist())}
+        assert len(shapes) > 10
+        assert grids == a.size > len(set(a.tolist())) > 1
+        for i, j, score in zip(a.tolist(), b.tolist(), scores.tolist()):
+            assert score == greedy_oracle(sets[i], sets[j], sw)[0], (sets[i], sets[j])

@@ -186,6 +186,13 @@ class TestRunAll:
         assert err.startswith("error: stage 'simmatrix': ic_cap must be a positive finite number, got -1.0")
         assert not (out_dir / "sims.tsv").exists()
 
+    def test_workers_below_one_fail_at_simmatrix(self, users_file, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert main(base_args(users_file, out_dir) + ["--workers", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 'simmatrix': workers must be at least 1, got 0")
+        assert not (out_dir / "sims.tsv").exists()
+
     @pytest.mark.parametrize(
         "edit",
         [lambda meta: [], lambda meta: {**meta, "inputs": {**meta["inputs"], "users": "abc"}}],
