@@ -80,22 +80,32 @@ def format_sims(values) -> np.ndarray:
     The values must be float32 numbers in [0, 1]; Python floats or a
     float64 array holding float32 values will do.  A float32 times 1e6
     is exact in float64, so ``np.rint`` (round half to even) of it is the
-    correctly rounded 6-decimal value that ``"{:.6f}"`` prints.  A value
-    outside [0, 1], NaN or -0.0 raises :class:`InputError`.
+    correctly rounded 6-decimal value that ``"{:.6f}"`` prints.  A cell
+    is two table entries, picked by those micros split at 1000 (see
+    :func:`_cell_halves`), so a call makes a few numpy calls whatever its
+    size.  A value outside [0, 1], NaN or -0.0 raises :class:`InputError`.
     """
     values = np.asarray(values)
     bad = np.flatnonzero(np.signbit(values) | ~(values <= 1.0))
     if bad.size:
         raise InputError(f"similarity out of range: {values[bad[0]]}")
     micros = np.rint(np.multiply(values, 1e6, dtype=np.float64)).astype(np.int32)
-    cells = np.empty((micros.size, 10), dtype=np.uint8)
-    cells[:, 0] = ord("\t")
-    cells[:, 1] = ord("0") + micros // 1_000_000
-    cells[:, 2] = ord(".")
-    for column, power in enumerate((100_000, 10_000, 1_000, 100, 10, 1), start=3):
-        cells[:, column] = ord("0") + micros // power % 10
-    cells[:, 9] = ord("\n")
-    return cells.view("S10").ravel()
+    high, low = np.divmod(micros.ravel(), 1000)
+    heads, tails = _cell_halves()
+    cells = np.empty(high.size, dtype=[("head", "V6"), ("tail", "V4")])
+    cells["head"] = heads[high]
+    cells["tail"] = tails[low]
+    return cells.view("S10")
+
+
+@functools.cache
+def _cell_halves() -> tuple[np.ndarray, np.ndarray]:
+    """The two halves of every similarity cell, as raw bytes: ``heads[k]``
+    is ``"\\tD.DDD"`` for ``k`` thousandths, 0 to 1000, and ``tails[k]`` is
+    ``"DDD\\n"`` for ``k`` millionths past them, 0 to 999."""
+    heads = np.array([f"\t{k // 1000}.{k % 1000:03d}".encode() for k in range(1001)], dtype="S6")
+    tails = np.array([f"{k:03d}\n".encode() for k in range(1000)], dtype="S4")
+    return heads.view("V6"), tails.view("V4")
 
 
 def sha256_file(path) -> str:

@@ -50,27 +50,47 @@ def build_profile(user_id: str, hashtags, lexicon: Lexicon, bigrams: BigramModel
     that no lexicon path covers contribute nothing; both cases are
     counted on the returned profile.
     """
-    return _build_profile(user_id, hashtags, lexicon, bigrams, {})
+    return _build_profile(user_id, hashtags, lexicon, bigrams, {}, {})
+
+
+def _tokens(
+    raw: str, lexicon: Lexicon, bigrams: BigramModel, splits: dict[str, tuple[str, ...]]
+) -> tuple[str, ...] | None:
+    """The tokens of the raw hashtag ``raw``, ``()`` when its body has no
+    split, or ``None`` when it does not normalize; reads and fills
+    ``splits``, normalized body -> the tokens of its one :func:`segment`
+    call."""
+    try:
+        tag = Hashtag.parse(raw)
+    except InputError:
+        return None
+    tokens = splits.get(tag.normalized)
+    if tokens is None:
+        tokens = splits[tag.normalized] = segment(tag, lexicon, bigrams).tokens
+    return tokens
 
 
 def _build_profile(
-    user_id: str, hashtags, lexicon: Lexicon, bigrams: BigramModel, splits: dict[str, tuple[str, ...]]
+    user_id: str,
+    hashtags,
+    lexicon: Lexicon,
+    bigrams: BigramModel,
+    by_raw: dict[str, tuple[str, ...] | None],
+    splits: dict[str, tuple[str, ...]],
 ) -> Profile:
-    """:func:`build_profile`, reading and filling ``splits``: normalized
-    body -> the tokens of its one :func:`segment` call."""
+    """:func:`build_profile`, reading and filling ``by_raw``, raw hashtag
+    -> its :func:`_tokens`, and through it ``splits``."""
     words: set[str] = set()
     n_unsegmentable = 0
     n_invalid = 0
     for raw in hashtags:
         try:
-            tag = Hashtag.parse(raw)
-        except InputError:
-            n_invalid += 1
-            continue
-        tokens = splits.get(tag.normalized)
+            tokens = by_raw[raw]
+        except KeyError:
+            tokens = by_raw[raw] = _tokens(raw, lexicon, bigrams, splits)
         if tokens is None:
-            tokens = splits[tag.normalized] = segment(tag, lexicon, bigrams).tokens
-        if tokens:
+            n_invalid += 1
+        elif tokens:
             words.update(tokens)
         else:  # only an unsegmentable hashtag has no tokens
             n_unsegmentable += 1
@@ -86,12 +106,19 @@ def _build_profile(
 def build_profiles(pairs, lexicon: Lexicon, bigrams: BigramModel) -> list[Profile]:
     """Build profiles for every ``(id, hashtags)`` pair, logging totals.
 
-    Each distinct normalized hashtag body is segmented once per call; the
-    memo of its tokens lives only for this call.
+    Each distinct raw hashtag is parsed once per call, and each distinct
+    normalized body is segmented once; both memos live only for this
+    call.  One INFO line gives the hashtags, the distinct raw hashtags,
+    the :func:`segment` calls and the hashtags that contributed no words.
     """
+    by_raw: dict[str, tuple[str, ...] | None] = {}
     splits: dict[str, tuple[str, ...]] = {}
-    profiles = [_build_profile(user_id, tags, lexicon, bigrams, splits) for user_id, tags in pairs]
-    skipped = sum(p.n_unsegmentable + p.n_invalid for p in profiles)
-    if skipped:
-        logger.info("profiles: %d hashtags contributed no words", skipped)
+    profiles = [_build_profile(user_id, tags, lexicon, bigrams, by_raw, splits) for user_id, tags in pairs]
+    logger.info(
+        "profiles: %d hashtags, %d distinct raw hashtags, %d segment calls, %d hashtags contributed no words",
+        sum(len(p.hashtags) for p in profiles),
+        len(by_raw),
+        len(splits),
+        sum(p.n_unsegmentable + p.n_invalid for p in profiles),
+    )
     return profiles

@@ -7,8 +7,11 @@ both steps.  :func:`segment` finds the winner with a Viterbi dynamic
 program over the lexicon lattice (Norvig, "Natural Language Corpus
 Data", *Beautiful Data*, 2009), so it never lists the splits;
 :func:`enumerate_segmentations` lists them, up to a cap, for inspection
-and for tests.  A result depends on the body alone, so
-:func:`tagrec.profiles.build_profiles` segments each distinct body once.
+and for tests.  The lattice is built forward from the start of the
+body, so the lexicon is asked for pieces only at positions that some
+split of the text before them reaches.  A result depends on the body
+alone, so :func:`tagrec.profiles.build_profiles` parses each distinct
+raw hashtag once and segments each distinct body once.
 """
 
 from __future__ import annotations
@@ -67,24 +70,46 @@ def _as_hashtag(value: Hashtag | str) -> Hashtag:
 def _lattice(body: str, lexicon: Lexicon) -> tuple[list[list[str]], list[int]]:
     """The lexicon words of ``body`` that lie on some complete split.
 
-    Returns ``(words, paths)``: ``words[i]`` lists the lexicon words that
-    start at position ``i`` and after which the rest of the body still
-    splits, and ``paths[i]`` counts the splits of ``body[i:]``, capped at 2.
+    Returns ``(words, paths)``, defined at the positions that a split of
+    ``body[:i]`` into lexicon words reaches, 0 among them: there
+    ``words[i]`` lists the lexicon words that start at ``i`` and after
+    which the rest of the body still splits, in order of length, and
+    ``paths[i]`` counts the splits of ``body[i:]``, capped at 2.  At every
+    other position ``words[i]`` is ``[]`` and ``paths[i]`` is 0.
+
+    The lattice is built forward from position 0, so the lexicon is asked
+    for pieces only at positions an earlier word ends at; the paths are
+    then counted backward over those positions only.
     """
     length = len(body)
     prefixes = lexicon.prefixes
     words: list[list[str]] = [[] for _ in range(length)]
+    # 1 marks position 0 and each position a word ends at, until its paths are counted
     paths = [0] * (length + 1)
-    paths[length] = 1
-    for i in range(length - 1, -1, -1):
-        count = 0
+    paths[0] = 1
+    starts = []
+    for i in range(length):
+        if not paths[i]:
+            continue
+        starts.append(i)
+        here = words[i]
         for j in range(i + 1, length + 1):
             word = prefixes.get(body[i:j])
             if word is None:
                 break
-            if word and paths[j]:
-                words[i].append(word)
-                count += paths[j]
+            if word:
+                here.append(word)
+                paths[j] = 1
+    # paths[length] keeps its mark: 1 when a word ends there, else 0
+    for i in reversed(starts):
+        count = 0
+        onward = []
+        for w in words[i]:
+            n = paths[i + len(w)]
+            if n:
+                onward.append(w)
+                count += n
+        words[i] = onward
         paths[i] = 2 if count > 2 else count
     return words, paths
 

@@ -255,6 +255,19 @@ class TestBuildMatrix:
             expected = 1.0 if i == j else profile_similarity(profiles[i], profiles[j], sw)
             assert matrix.sim(i, j) == pytest.approx(expected, abs=1e-7)
 
+    @pytest.mark.parametrize("grid_bytes", [1, 2800, 8000], ids=["one-row", "three-rows", "eight-rows"])
+    def test_gather_blocks_keep_the_matrix(self, monkeypatch, grid_bytes):
+        # 23 profiles over 4 non-empty word sets and the empty one, gathered
+        # in blocks of 1, 3 and 8 rows (the last block shorter) against one
+        rng = random.Random(9)
+        pool = [f"w{i}" for i in range(10)]
+        distinct = [frozenset(rng.sample(pool, rng.randint(0, 4))) for _ in range(5)] + [frozenset()]
+        profiles = [Profile(id=f"p{i}", words=rng.choice(distinct)) for i in range(23)]
+        sw = random_word_sim(rng, set(pool))
+        whole = build_similarity_matrix(profiles, sw)
+        monkeypatch.setattr(matcher, "GRID_BYTES", grid_bytes)
+        assert np.array_equal(build_similarity_matrix(profiles, sw).condensed, whole.condensed)
+
     def test_progress_hook_called(self, worked_word_sim):
         calls = []
         profiles = self.make_profiles()

@@ -1,10 +1,13 @@
 """Profile ingestion and word extraction."""
 
+import logging
+
 import pytest
 
 from tagrec import profiles
 from tagrec.errors import ParseError, ResourceError
 from tagrec.profiles import build_profile, build_profiles, ingest_profiles
+from tagrec.segmenter import Hashtag
 
 
 def write_users(tmp_path, text):
@@ -113,3 +116,37 @@ class TestBuildProfiles:
         assert batch == [build_profile(user_id, tags, worked_lexicon, worked_bigrams) for user_id, tags in pairs]
         assert [p.n_unsegmentable for p in batch] == [1, 1, 1]
         assert [p.n_invalid for p in batch] == [1, 0, 0]
+
+    def test_parses_each_distinct_raw_hashtag_once(self, worked_lexicon, worked_bigrams, monkeypatch, caplog):
+        parse = Hashtag.parse.__func__
+        parsed = []
+        segmented = []
+        segment = profiles.segment
+
+        def counting_parse(cls, raw):
+            parsed.append(raw)
+            return parse(cls, raw)
+
+        def counting_segment(*args):
+            segmented.append(args[0])
+            return segment(*args)
+
+        pairs = [
+            ("u1", ["#Foo", "#tbt2015", "#xqzv", "#tbt2015", "#xqzv", "#Foo"]),
+            ("u2", ["#foo", "foo", "#tbt2015", "#xqzv", "#worldwide"]),
+            ("u3", ["#worldwide", "#Foo", "#xqzv"]),
+        ]
+        monkeypatch.setattr(Hashtag, "parse", classmethod(counting_parse))
+        monkeypatch.setattr(profiles, "segment", counting_segment)
+        caplog.set_level(logging.INFO, logger="tagrec.profiles")
+        batch = build_profiles(pairs, worked_lexicon, worked_bigrams)
+        assert sorted(parsed) == sorted({raw for _, tags in pairs for raw in tags})
+        # "#Foo", "#foo" and "foo" share the body "foo", segmented once
+        assert sorted(s.normalized for s in segmented) == ["foo", "worldwide", "xqzv"]
+        assert [p.n_invalid for p in batch] == [2, 1, 0]
+        assert [p.n_unsegmentable for p in batch] == [4, 3, 2]
+        assert [p.words for p in batch] == [frozenset(), {"worldwide"}, {"worldwide"}]
+        (record,) = [r for r in caplog.records if r.name == "tagrec.profiles"]
+        assert record.getMessage() == (
+            "profiles: 14 hashtags, 6 distinct raw hashtags, 3 segment calls, 12 hashtags contributed no words"
+        )

@@ -10,6 +10,7 @@ from tagrec.errors import InputError
 from tagrec.segmenter import (
     Hashtag,
     SegmentStatus,
+    _lattice,
     enumerate_segmentations,
     evaluate_segmenter,
     score_segmentation,
@@ -256,6 +257,99 @@ def documented_rule(body, lexicon, bigrams):
     if score_segmentation(best, bigrams) == float("-inf"):
         return (), SegmentStatus.UNSEGMENTABLE
     return best, SegmentStatus.DISAMBIGUATED
+
+
+def splits_of(body, lexicon):
+    """Every split of ``body`` into lexicon words, over all split masks."""
+    n = len(body)
+    found = []
+    for mask in range(1 << max(0, n - 1)):
+        cuts = [0, *(pos + 1 for pos in range(n - 1) if mask >> pos & 1), n]
+        pieces = tuple(body[a:b] for a, b in zip(cuts, cuts[1:]))
+        if n and all(p in lexicon for p in pieces):
+            found.append(pieces)
+    return found
+
+
+def lattice_oracle(body, lexicon):
+    """``(words, paths)`` as :func:`_lattice` defines them, by brute force."""
+    n = len(body)
+    reached = [i == 0 or bool(splits_of(body[:i], lexicon)) for i in range(n + 1)]
+    words = [[] for _ in range(n)]
+    paths = [0] * (n + 1)
+    paths[n] = int(reached[n])
+    for i in range(n):
+        if reached[i]:
+            ends = range(i + 1, n + 1)
+            words[i] = [body[i:j] for j in ends if body[i:j] in lexicon and (j == n or splits_of(body[j:], lexicon))]
+            paths[i] = min(2, len(splits_of(body[i:], lexicon)))
+    return words, paths, reached
+
+
+class CountingPrefixes(dict):
+    """A lexicon's prefix map that records every piece looked up in it."""
+
+    def __init__(self, prefixes):
+        super().__init__(prefixes)
+        self.pieces = []
+
+    def get(self, piece, default=None):
+        self.pieces.append(piece)
+        return super().get(piece, default)
+
+
+class TestLattice:
+    # "d" is in no word, so it makes unsegmentable bodies and dead ends: in
+    # "abad", the splits of "aba" reach position 3, and none goes on from it.
+    VOCAB = ("a", "b", "ab", "ba", "abc", "ca", "cab", "bcd")
+    BODIES = ["d", "aba", "abad", "dabab", "abcab", "abcd", "cabab", "ababab", "bcdab", "abcabd"]
+
+    def bodies(self):
+        rng = random.Random(15)
+        return self.BODIES + ["".join(rng.choice("abcd") for _ in range(rng.randint(1, 10))) for _ in range(300)]
+
+    def test_matches_split_oracle(self):
+        lx = lex(*self.VOCAB)
+        seen = {"unsegmentable": 0, "dead_end": 0, "unreached": 0, "several": 0}
+        for body in self.bodies():
+            words, paths = _lattice(body, lx)
+            want_words, want_paths, reached = lattice_oracle(body, lx)
+            assert (words, paths) == (want_words, want_paths), body
+            seen["unsegmentable"] += not paths[0]
+            seen["dead_end"] += any(reached[i] and not paths[i] for i in range(len(body))) and paths[0] > 0
+            seen["unreached"] += not all(reached)
+            seen["several"] += paths[0] == 2
+        assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize("floor", [1e-9, 0.0])
+    def test_segment_follows_the_rules_on_oracle_bodies(self, floor):
+        # One count for every seen pair makes splits of one length tie on
+        # score; every pair with "ca" or "cab" is unseen, so under a zero
+        # floor each split of "cabab" scores -inf.
+        lx = lex(*self.VOCAB)
+        counts = {(a, b): 1 for a in self.VOCAB for b in self.VOCAB if not {a, b} & {"ca", "cab"}}
+        model = BigramModel(counts, floor_prob=floor)
+        for body in self.bodies():
+            result = segment(body, lx, model)
+            assert (result.tokens, result.status) == documented_rule(body, lx, model), body
+        assert segment("aba", lx, model).tokens == ("a", "ba")  # ties with (ab, a)
+        rejected = segment("cabab", lx, model).status is SegmentStatus.UNSEGMENTABLE
+        assert rejected == (floor == 0.0)
+
+    def test_looks_up_pieces_only_where_a_split_reaches(self):
+        for body in self.bodies():
+            lx = lex(*self.VOCAB)
+            counting = lx.__dict__["prefixes"] = CountingPrefixes(lx.prefixes)
+            _lattice(body, lx)
+            reached = lattice_oracle(body, lx)[2]
+            starts = [i for i in range(len(body)) if reached[i]]
+            for piece in counting.pieces:
+                assert any(body.startswith(piece, i) for i in starts), (body, piece)
+        # nothing after the first piece of a body no word starts
+        lx = lex(*self.VOCAB)
+        counting = lx.__dict__["prefixes"] = CountingPrefixes(lx.prefixes)
+        _lattice("dabab", lx)
+        assert counting.pieces == ["d"]
 
 
 class TestEvaluate:
