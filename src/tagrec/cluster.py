@@ -40,7 +40,7 @@ def _assign(matrix: SimilarityMatrix, medoid_idx: list[int]) -> tuple[np.ndarray
     Ties go to the lowest cluster index (numpy argmin keeps the first
     minimum).
     """
-    columns = np.stack([matrix.distances_to(m) for m in medoid_idx], axis=1)
+    columns = np.subtract(1.0, matrix.block(np.arange(matrix.n), medoid_idx), dtype=np.float64)
     assign = np.argmin(columns, axis=1)
     for c, m in enumerate(medoid_idx):
         assign[m] = c
@@ -77,8 +77,9 @@ def k_medoids(
         new_medoids = list(medoid_idx)
         for c in range(k):
             members = np.flatnonzero(assign == c)
-            dist = matrix.pairwise_distances(members)
-            new_medoids[c] = int(members[int(np.argmin(dist.sum(axis=0)))])
+            # only the column sums outlive the gather, so no two squares are held at once
+            total = np.subtract(1.0, matrix.block(members, members), dtype=np.float64).sum(axis=0)
+            new_medoids[c] = int(members[int(np.argmin(total))])
         if new_medoids == medoid_idx:
             break
         medoid_idx = new_medoids

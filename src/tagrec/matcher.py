@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from itertools import combinations
 from multiprocessing import get_context
 
 import numpy as np
@@ -250,8 +249,12 @@ def profile_similarity(p1, p2, word_sim) -> float:
 class SimilarityMatrix:
     """Symmetric profile similarities in condensed triangular float32 storage.
 
-    Only the strict upper triangle is stored (N*(N-1)/2 entries); the
-    diagonal is implicitly 1.
+    Only the strict upper triangle is stored (N*(N-1)/2 entries), in the
+    order of ``itertools.combinations(ids, 2)``, which is also the row
+    order of ``sims.tsv``; the diagonal is implicitly 1.  :meth:`sim`
+    reads one cell, and :meth:`block` gathers any rows x cols rectangle,
+    the one gather k-medoids (as ``1 - block``) and ranking read the
+    matrix through.
     """
 
     def __init__(self, ids, condensed: np.ndarray):
@@ -289,18 +292,6 @@ class SimilarityMatrix:
     def sim_ids(self, a: str, b: str) -> float:
         return self.sim(self.index(a), self.index(b))
 
-    def distances_to(self, j: int) -> np.ndarray:
-        """1 - similarity from every profile to profile ``j`` (float64)."""
-        n = self.n
-        out = np.empty(n, dtype=np.float64)
-        if j > 0:
-            out[:j] = self.condensed[self._k(np.arange(j), j)]
-        out[j] = 1.0  # self-similarity
-        if j < n - 1:
-            base = self._k(j, j + 1)
-            out[j + 1 :] = self.condensed[base : base + (n - j - 1)]
-        return 1.0 - out
-
     def block(self, rows, cols) -> np.ndarray:
         """float32 similarities from the profiles at indices ``rows`` (axis
         0) to those at ``cols`` (axis 1); a cell of one profile with itself
@@ -320,16 +311,6 @@ class SimilarityMatrix:
         del index
         sims[rows == cols] = 1.0
         return sims
-
-    def pairwise_distances(self, indices) -> np.ndarray:
-        """Square 1 - similarity matrix over the given profile indices."""
-        return np.subtract(1.0, self.block(indices, indices), dtype=np.float64)
-
-    def iter_pairs(self):
-        """Yield ``(id_i, id_j, sim)`` for every i < j in storage order,
-        the order of ``itertools.combinations(ids, 2)``."""
-        for (a, b), s in zip(combinations(self.ids, 2), self.condensed.tolist()):
-            yield a, b, s
 
     def scaled(self, factor: float) -> "SimilarityMatrix":
         return SimilarityMatrix(self.ids, self.condensed * np.float32(factor))

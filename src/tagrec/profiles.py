@@ -1,9 +1,22 @@
-"""User profiles derived from hashtags: ingestion and word extraction."""
+"""User profiles derived from hashtags: ingestion and word extraction.
+
+:func:`build_profiles` works in three flat phases over all users at once:
+
+1. collect the distinct raw hashtags, in order of first appearance;
+2. parse each distinct raw hashtag once with :meth:`Hashtag.parse`, and
+   segment each distinct normalized body once with :func:`segment`,
+   giving each raw hashtag its tokens: ``()`` when its body has no split,
+   ``None`` when it does not normalize;
+3. build each :class:`Profile` from those tokens.
+
+:func:`build_profile` is a batch of one.
+"""
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import chain
 
 from tagrec.corpus import BigramModel, Lexicon
 from tagrec.errors import InputError, ParseError
@@ -39,7 +52,7 @@ def ingest_profiles(path) -> list[tuple[str, list[str]]]:
         if user_id not in tags_by_id:
             order.append(user_id)
             tags_by_id[user_id] = []
-        tags_by_id[user_id].extend(t.strip() for t in tag_field.split(",") if t.strip())
+        tags_by_id[user_id].extend(filter(None, map(str.strip, tag_field.split(","))))
     return [(user_id, tags_by_id[user_id]) for user_id in order]
 
 
@@ -50,75 +63,53 @@ def build_profile(user_id: str, hashtags, lexicon: Lexicon, bigrams: BigramModel
     that no lexicon path covers contribute nothing; both cases are
     counted on the returned profile.
     """
-    return _build_profile(user_id, hashtags, lexicon, bigrams, {}, {})
-
-
-def _tokens(
-    raw: str, lexicon: Lexicon, bigrams: BigramModel, splits: dict[str, tuple[str, ...]]
-) -> tuple[str, ...] | None:
-    """The tokens of the raw hashtag ``raw``, ``()`` when its body has no
-    split, or ``None`` when it does not normalize; reads and fills
-    ``splits``, normalized body -> the tokens of its one :func:`segment`
-    call."""
-    try:
-        tag = Hashtag.parse(raw)
-    except InputError:
-        return None
-    tokens = splits.get(tag.normalized)
-    if tokens is None:
-        tokens = splits[tag.normalized] = segment(tag, lexicon, bigrams).tokens
-    return tokens
-
-
-def _build_profile(
-    user_id: str,
-    hashtags,
-    lexicon: Lexicon,
-    bigrams: BigramModel,
-    by_raw: dict[str, tuple[str, ...] | None],
-    splits: dict[str, tuple[str, ...]],
-) -> Profile:
-    """:func:`build_profile`, reading and filling ``by_raw``, raw hashtag
-    -> its :func:`_tokens`, and through it ``splits``."""
-    words: set[str] = set()
-    n_unsegmentable = 0
-    n_invalid = 0
-    for raw in hashtags:
-        try:
-            tokens = by_raw[raw]
-        except KeyError:
-            tokens = by_raw[raw] = _tokens(raw, lexicon, bigrams, splits)
-        if tokens is None:
-            n_invalid += 1
-        elif tokens:
-            words.update(tokens)
-        else:  # only an unsegmentable hashtag has no tokens
-            n_unsegmentable += 1
-    return Profile(
-        id=user_id,
-        hashtags=tuple(hashtags),
-        words=frozenset(words),
-        n_unsegmentable=n_unsegmentable,
-        n_invalid=n_invalid,
-    )
+    return build_profiles([(user_id, hashtags)], lexicon, bigrams)[0]
 
 
 def build_profiles(pairs, lexicon: Lexicon, bigrams: BigramModel) -> list[Profile]:
     """Build profiles for every ``(id, hashtags)`` pair, logging totals.
 
-    Each distinct raw hashtag is parsed once per call, and each distinct
-    normalized body is segmented once; both memos live only for this
-    call.  One INFO line gives the hashtags, the distinct raw hashtags,
-    the :func:`segment` calls and the hashtags that contributed no words.
+    Works in the three phases the module docstring describes, so each
+    distinct raw hashtag is parsed once per call and each distinct
+    normalized body is segmented once.  One INFO line gives the hashtags,
+    the distinct raw hashtags, the :func:`segment` calls and the hashtags
+    that contributed no words.
     """
-    by_raw: dict[str, tuple[str, ...] | None] = {}
-    splits: dict[str, tuple[str, ...]] = {}
-    profiles = [_build_profile(user_id, tags, lexicon, bigrams, by_raw, splits) for user_id, tags in pairs]
+    pairs = [(user_id, tuple(hashtags)) for user_id, hashtags in pairs]
+    # 1. the distinct raw hashtags, in order of first appearance; phase 2
+    # maps each to its tokens, () when its body has no split, and leaves
+    # None on one that does not normalize
+    tokens_of: dict[str, tuple[str, ...] | None] = dict.fromkeys(
+        chain.from_iterable(hashtags for _, hashtags in pairs)
+    )
+    # 2. parse each distinct raw hashtag once, segment each distinct body once
+    splits: dict[str, tuple[str, ...]] = {}  # normalized body -> tokens
+    for raw in tokens_of:
+        try:
+            tag = Hashtag.parse(raw)
+        except InputError:
+            continue
+        if tag.normalized not in splits:
+            splits[tag.normalized] = segment(tag, lexicon, bigrams).tokens
+        tokens_of[raw] = splits[tag.normalized]
+    # 3. the profiles
+    built = []
+    for user_id, hashtags in pairs:
+        found = [tokens_of[raw] for raw in hashtags]
+        built.append(
+            Profile(
+                id=user_id,
+                hashtags=hashtags,
+                words=frozenset(chain.from_iterable(filter(None, found))),
+                n_unsegmentable=found.count(()),
+                n_invalid=found.count(None),
+            )
+        )
     logger.info(
         "profiles: %d hashtags, %d distinct raw hashtags, %d segment calls, %d hashtags contributed no words",
-        sum(len(p.hashtags) for p in profiles),
-        len(by_raw),
+        sum(len(hashtags) for _, hashtags in pairs),
+        len(tokens_of),
         len(splits),
-        sum(p.n_unsegmentable + p.n_invalid for p in profiles),
+        sum(p.n_unsegmentable + p.n_invalid for p in built),
     )
-    return profiles
+    return built

@@ -10,24 +10,23 @@ Data", *Beautiful Data*, 2009), so it never lists the splits;
 and for tests.  The lattice is built forward from the start of the
 body, so the lexicon is asked for pieces only at positions that some
 split of the text before them reaches.  A result depends on the body
-alone, so :func:`tagrec.profiles.build_profiles` parses each distinct
-raw hashtag once and segments each distinct body once.
+alone, so :func:`tagrec.profiles.build_profiles` gathers the distinct
+raw hashtags of all its users first; then one loop there parses each of
+them once with :meth:`Hashtag.parse` and calls :func:`segment` once per
+distinct body.
 """
 
 from __future__ import annotations
 
 import heapq
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 
-from tagrec.corpus import BigramModel, Lexicon
+from tagrec.corpus import _WORD_RE, BigramModel, Lexicon
 from tagrec.errors import InputError
 from tagrec.tsv import read_rows
 
 DEFAULT_MAX_CANDIDATES = 256
-
-_BODY_RE = re.compile(r"[a-z]+\Z")
 
 
 class SegmentStatus(Enum):
@@ -50,7 +49,7 @@ class Hashtag:
         if body.startswith("#"):
             body = body[1:]
         body = body.lower()
-        if not _BODY_RE.fullmatch(body):
+        if not _WORD_RE.fullmatch(body):
             raise InputError(f"hashtag {raw!r} does not normalize to a non-empty letters-only body")
         return cls(raw=raw, normalized=body)
 
@@ -235,7 +234,7 @@ def segment(hashtag: Hashtag | str, lexicon: Lexicon, bigrams: BigramModel) -> S
     )
     if best_score == float("-inf"):  # all paths hit unseen bigrams under a zero floor
         return SegmentResult(h, (), SegmentStatus.UNSEGMENTABLE, float("-inf"))
-    return SegmentResult(h, best, SegmentStatus.DISAMBIGUATED, score_segmentation(best, bigrams))
+    return SegmentResult(h, best, SegmentStatus.DISAMBIGUATED, best_score)
 
 
 @dataclass(frozen=True)

@@ -146,4 +146,13 @@ def blob_matrix() -> SimilarityMatrix:
     return two_blob_matrix()
 
 
+def square(matrix: SimilarityMatrix) -> np.ndarray:
+    """The dense float32 N x N similarity matrix, built from ``condensed``."""
+    full = np.ones((matrix.n, matrix.n), dtype=np.float32)
+    upper = np.triu_indices(matrix.n, 1)  # row-major, the storage order
+    full[upper] = matrix.condensed
+    full[upper[::-1]] = matrix.condensed
+    return full
+
+
 BLOB_OF = {f"u{i}": 0 if i < 3 else 1 for i in range(6)}

@@ -29,7 +29,7 @@ from tagrec.segmenter import (
 )
 from tagrec.taxonomy import VIRTUAL_ROOT, Synset, Taxonomy
 
-from conftest import WORKED_WORD_SIMS, make_taxonomy, table_word_sim, two_blob_matrix, BLOB_OF
+from conftest import WORKED_WORD_SIMS, make_taxonomy, square, table_word_sim, two_blob_matrix, BLOB_OF
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -206,7 +206,7 @@ def test_criterion_07_taxonomy_correctness():
 
 
 def assignment_cost(matrix, medoids):
-    columns = np.stack([matrix.distances_to(m) for m in medoids], axis=1)
+    columns = 1.0 - square(matrix)[:, list(medoids)].astype(np.float64)
     return float(columns.min(axis=1).sum())
 
 

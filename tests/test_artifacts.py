@@ -3,6 +3,7 @@
 import gc
 import json
 import tracemalloc
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from tagrec.pipeline import compute_profiles, compute_simmatrix
 from tagrec.profiles import Profile
 from tagrec.taxonomy import DEFAULT_IC_CAP
 
-from conftest import two_blob_matrix
+from conftest import square, two_blob_matrix
 from test_acceptance import make_synthetic_users
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -238,8 +239,11 @@ def matrix_of(values, ids=None) -> SimilarityMatrix:
 
 
 def format_reference(matrix: SimilarityMatrix) -> str:
-    """``sims.tsv`` as the per-row ``"{:.6f}"`` writer made it."""
-    return "".join(f"{a}\t{b}\t{s:.6f}\n" for a, b, s in matrix.iter_pairs())
+    """``sims.tsv`` as the per-row ``"{:.6f}"`` writer made it: a row for
+    every i < j, in the order of ``itertools.combinations``."""
+    sims = square(matrix).tolist()
+    ids = matrix.ids
+    return "".join(f"{ids[i]}\t{ids[j]}\t{sims[i][j]:.6f}\n" for i, j in combinations(range(matrix.n), 2))
 
 
 class TestSimsWriter:

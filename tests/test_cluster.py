@@ -9,7 +9,7 @@ from tagrec.cluster import cluster_histogram, k_medoids
 from tagrec.errors import InputError
 from tagrec.matcher import SimilarityMatrix
 
-from conftest import BLOB_OF, two_blob_matrix
+from conftest import BLOB_OF, square, two_blob_matrix
 
 
 def random_matrix(rng, n) -> SimilarityMatrix:
@@ -17,9 +17,13 @@ def random_matrix(rng, n) -> SimilarityMatrix:
     return SimilarityMatrix([f"p{i}" for i in range(n)], condensed)
 
 
+def distances(matrix) -> np.ndarray:
+    """The dense float64 N x N matrix of 1 - similarity."""
+    return 1.0 - square(matrix).astype(np.float64)
+
+
 def assignment_cost(matrix, medoid_indices) -> float:
-    columns = np.stack([matrix.distances_to(m) for m in medoid_indices], axis=1)
-    return float(columns.min(axis=1).sum())
+    return float(distances(matrix)[:, list(medoid_indices)].min(axis=1).sum())
 
 
 def brute_force_optimum(matrix, k) -> float:
@@ -38,9 +42,7 @@ class TestBasics:
 
     def test_k_one_matches_brute_force(self, blob_matrix):
         clustering = k_medoids(blob_matrix, k=1, seed=3)
-        best = min(
-            (float(blob_matrix.distances_to(m).sum()), m) for m in range(6)
-        )
+        best = min((float(column.sum()), m) for m, column in enumerate(distances(blob_matrix).T))
         assert clustering.cost == pytest.approx(best[0])
         assert set(clustering.assignment.values()) == {0}
 
@@ -106,8 +108,7 @@ class TestProperties:
         matrix = random_matrix(rng, 8)
         clustering = k_medoids(matrix, k=3, seed=4, max_iter=100)
         medoid_idx = [matrix.index(m) for m in clustering.medoids]
-        columns = np.stack([matrix.distances_to(m) for m in medoid_idx], axis=1)
-        assign = np.argmin(columns, axis=1)
+        assign = np.argmin(distances(matrix)[:, medoid_idx], axis=1)
         for c, m in enumerate(medoid_idx):
             assign[m] = c
         for i, pid in enumerate(matrix.ids):

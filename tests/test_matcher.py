@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from tagrec import matcher
+from tagrec.cluster import k_medoids
 from tagrec.errors import InputError, UnknownIdError
 from tagrec.matcher import (
     SimilarityMatrix,
@@ -19,7 +20,7 @@ from tagrec.matcher import (
 )
 from tagrec.profiles import Profile
 
-from conftest import table_word_sim
+from conftest import square, table_word_sim
 
 
 def greedy_oracle(rows, cols, word_sim, rounds=None):
@@ -136,31 +137,10 @@ class TestSimilarityMatrix:
         with pytest.raises(UnknownIdError):
             blob_matrix.index("ghost")
 
-    def test_distances_match_sims(self, blob_matrix):
-        for j in range(6):
-            d = blob_matrix.distances_to(j)
-            for i in range(6):
-                assert d[i] == pytest.approx(1.0 - blob_matrix.sim(i, j))
-
-    def test_pairwise_distances(self, blob_matrix):
-        sub = blob_matrix.pairwise_distances([0, 3, 4])
-        assert sub.shape == (3, 3)
-        assert sub[0, 0] == 0.0
-        assert sub[0, 1] == pytest.approx(0.9)
-        assert sub[1, 2] == pytest.approx(1.0 - 0.9)
-
     @staticmethod
     def random_matrix(n: int, seed: int) -> SimilarityMatrix:
         rng = np.random.default_rng(seed)
         return SimilarityMatrix([f"u{i}" for i in range(n)], rng.random(n * (n - 1) // 2, dtype=np.float32))
-
-    @staticmethod
-    def square(matrix: SimilarityMatrix) -> np.ndarray:
-        full = np.ones((matrix.n, matrix.n), dtype=np.float32)
-        upper = np.triu_indices(matrix.n, 1)  # row-major, the storage order
-        full[upper] = matrix.condensed
-        full[upper[::-1]] = matrix.condensed
-        return full
 
     def test_block_equals_square(self):
         for n, rows, cols in [
@@ -173,33 +153,35 @@ class TestSimilarityMatrix:
             matrix = self.random_matrix(n, seed=n)
             block = matrix.block(rows, cols)
             assert block.dtype == np.float32
-            assert np.array_equal(block, self.square(matrix)[np.ix_(list(rows), list(cols))])
+            assert np.array_equal(block, square(matrix)[np.ix_(list(rows), list(cols))])
 
     def test_block_peak_memory_of_one_large_cluster(self):
         matrix = self.random_matrix(1000, seed=1)
         members = np.random.default_rng(2).permutation(1000)
-        expected = self.square(matrix)[np.ix_(members, members)]
+        expected = square(matrix)[np.ix_(members, members)]
         cells = members.size**2
-        for name in ("block", "pairwise_distances"):
-            args = (members, members) if name == "block" else (members,)
+        calls = {
+            "block": lambda: matrix.block(members, members),
+            # k = 1: each medoid update reads the one cluster's square of distances
+            "k_medoids": lambda: k_medoids(matrix, k=1, seed=0),
+        }
+        for name, call in calls.items():
             gc.collect()
             tracemalloc.start()
             try:
-                got = getattr(matrix, name)(*args)
+                got = call()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            want = expected if name == "block" else 1.0 - expected.astype(np.float64)
-            assert np.array_equal(got, want)
+            if name == "block":
+                assert np.array_equal(got, expected)
+            else:
+                distances = 1.0 - square(matrix).astype(np.float64)
+                assert got.medoids == (matrix.ids[int(np.argmin(distances.sum(axis=0)))],)
             # an intp index and the float32 block, or the float32 block and the
-            # float64 result, plus numpy's cast buffers; int64 lo, hi and
+            # float64 distances, plus numpy's cast buffers; int64 lo, hi and
             # index temporaries took 32 bytes per cell
             assert peak <= 12 * cells + 2**17, (name, peak / cells)
-
-    def test_iter_pairs_round_trip(self, blob_matrix):
-        pairs = list(blob_matrix.iter_pairs())
-        assert len(pairs) == 15
-        assert pairs[0] == ("u0", "u1", pytest.approx(0.9))
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(InputError):

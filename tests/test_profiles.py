@@ -1,13 +1,16 @@
 """Profile ingestion and word extraction."""
 
 import logging
+import random
 
 import pytest
 
 from tagrec import profiles
-from tagrec.errors import ParseError, ResourceError
+from tagrec.errors import InputError, ParseError, ResourceError
 from tagrec.profiles import build_profile, build_profiles, ingest_profiles
-from tagrec.segmenter import Hashtag
+from tagrec.segmenter import Hashtag, segment
+
+from conftest import WORKED_LEXICON
 
 
 def write_users(tmp_path, text):
@@ -150,3 +153,44 @@ class TestBuildProfiles:
         assert record.getMessage() == (
             "profiles: 14 hashtags, 6 distinct raw hashtags, 3 segment calls, 12 hashtags contributed no words"
         )
+
+    def test_matches_reference_without_memo(self, worked_lexicon, worked_bigrams):
+        def reference(hashtags):
+            """Parse and segment every hashtag on its own: (words, n_invalid, n_unsegmentable)."""
+            words, n_invalid, n_unsegmentable = set(), 0, 0
+            for raw in hashtags:
+                try:
+                    tag = Hashtag.parse(raw)
+                except InputError:
+                    n_invalid += 1
+                    continue
+                tokens = segment(tag, worked_lexicon, worked_bigrams).tokens
+                words.update(tokens)
+                n_unsegmentable += not tokens
+            return frozenset(words), n_invalid, n_unsegmentable
+
+        rng = random.Random(5)
+        nonwords = ["xqzv", "worldx", "thez", "backthrowz"]
+        invalid = ["tbt2015", "#", "world wide", "café", "#the-cat", "ｃａｔ"]
+
+        def draw_raw() -> str:
+            kind = rng.random()
+            if kind < 0.15:
+                return rng.choice(invalid)
+            if kind < 0.3:
+                body = rng.choice(nonwords)
+            else:
+                body = "".join(rng.choices(WORKED_LEXICON, k=rng.randint(1, 3)))
+            body = "".join(c.upper() if rng.random() < 0.3 else c for c in body)
+            return rng.choice(["#", "", " #", "#"]) + body + rng.choice(["", "", " "])
+
+        for _ in range(20):
+            tag_pool = [draw_raw() for _ in range(rng.randint(1, 12))]
+            ids = [f"u{rng.randint(0, 4)}" for _ in range(rng.randint(1, 8))]  # ids may repeat
+            pairs = [(user_id, rng.choices(tag_pool, k=rng.randint(0, 8))) for user_id in ids]
+            built = build_profiles(pairs, worked_lexicon, worked_bigrams)
+            assert [p.id for p in built] == ids
+            assert [p.hashtags for p in built] == [tuple(tags) for _, tags in pairs]
+            assert [(p.words, p.n_invalid, p.n_unsegmentable) for p in built] == [
+                reference(tags) for _, tags in pairs
+            ]
