@@ -20,6 +20,7 @@ from tagrec.segmenter import (
     evaluate_segmenter,
     score_segmentation,
     segment,
+    segment_all,
 )
 from tagrec.taxonomy import Taxonomy, load_taxonomy
 
@@ -54,4 +55,5 @@ __all__ = [
     "run_all",
     "score_segmentation",
     "segment",
+    "segment_all",
 ]

@@ -13,6 +13,8 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from tagrec.errors import EmptyResourceError, InputError, ParseError, ResourceError
 from tagrec.tsv import read_rows
 
@@ -21,6 +23,10 @@ logger = logging.getLogger(__name__)
 DEFAULT_FLOOR_PROB = 1e-9
 
 _WORD_RE = re.compile(r"[a-z]+\Z")
+
+# Trie states and columns: see Trie.
+DEAD, ROOT = 0, 1
+DEAD_COLUMN = 26
 
 
 @dataclass(frozen=True)
@@ -37,17 +43,66 @@ class Lexicon:
         return len(self.words)
 
     @cached_property
-    def prefixes(self) -> dict[str, str]:
-        """Every non-empty prefix of a lexicon word, mapped to the word
-        itself (this lexicon's string) when the prefix is a word, else "".
+    def trie(self) -> Trie:
+        """The words as a character trie; built on first use, then kept."""
+        return Trie.build(self.words)
 
-        Computed once per lexicon: the segmenter stops extending a piece of
-        a hashtag at the first piece that is not a prefix, and its tokens
-        share the lexicon's strings instead of holding copies.
-        """
-        prefixes = {w[:i]: "" for w in self.words for i in range(1, len(w))}
-        prefixes.update((w, w) for w in self.words)
-        return prefixes
+
+@dataclass(frozen=True)
+class Trie:
+    """A character trie over a-z words, as an int32 transition table.
+
+    ``table[s, c]`` is the state reached from state ``s`` by letter ``c``
+    (0 for a up to 25 for z).  Column :data:`DEAD_COLUMN`, to which every
+    byte outside a-z maps, and every transition that leaves the words lead
+    to state :data:`DEAD`, which every column maps back to itself; the
+    empty prefix is state :data:`ROOT`, and a state's id exceeds its
+    parent's.  ``depth[s]`` is the length of the prefix state ``s``
+    spells; ``is_word[s]`` flags the states that spell a whole word, and
+    ``words[s]`` (an object array) is that word, the lexicon's own string,
+    else None.  Words with a character outside a-z are left out: no body
+    that :meth:`tagrec.segmenter.Hashtag.parse` gives can hold one.
+    """
+
+    table: np.ndarray
+    depth: np.ndarray
+    is_word: np.ndarray
+    words: np.ndarray
+
+    @classmethod
+    def build(cls, words) -> "Trie":
+        # Sorted, each word shares its longest common prefix with the word
+        # before it, and adds a new state for each longer prefix of its
+        # own: numbered word by word, so each state exceeds its parent.
+        spelled = sorted(filter(_WORD_RE.match, words))
+        width = max(map(len, spelled), default=1)
+        # letter[i, d]: letter d of word i, DEAD_COLUMN past its end
+        padded = np.array(spelled, dtype=f"S{width}").view(np.uint8).reshape(len(spelled), width)
+        letter = np.minimum(padded - np.uint8(ord("a")), DEAD_COLUMN)
+        length = np.fromiter(map(len, spelled), np.intp, len(spelled))
+        shared = np.zeros(len(spelled), np.intp)
+        if len(spelled) > 1:  # distinct words differ within the width
+            shared[1:] = np.argmin(letter[1:] == letter[:-1], axis=1)
+        depth = np.arange(1, width + 1)
+        new = (depth > shared[:, None]) & (depth <= length[:, None])  # word i's own prefixes
+        states = ROOT + 1 + np.count_nonzero(new)
+        node = np.zeros(new.shape, np.int32)
+        node[new] = np.arange(ROOT + 1, states, dtype=np.int32)
+        np.maximum.accumulate(node, axis=0, out=node)  # a shared prefix's state: the last word's
+        parent = np.hstack((np.full((len(spelled), 1), ROOT, np.int32), node[:, :-1]))
+        table = np.zeros((states, DEAD_COLUMN + 1), np.int32)
+        table[parent[new], letter[new]] = node[new]
+        ends = node[np.arange(len(spelled)), length - 1]
+        is_word = np.zeros(states, bool)
+        is_word[ends] = True
+        spelling = np.full(states, None, dtype=object)
+        spelling[ends] = np.array(spelled, dtype=object)
+        return cls(
+            table=table,
+            depth=np.concatenate(([0, 0], np.nonzero(new)[1] + 1)).astype(np.int32),
+            is_word=is_word,
+            words=spelling,
+        )
 
 
 class BigramModel:
@@ -64,6 +119,10 @@ class BigramModel:
         self.counts = dict(counts)
         self.total = sum(self.counts.values())
         self.floor_prob = floor_prob
+        # log_probability's answers, computed once: the segmenter asks for
+        # the same pairs many times over
+        self._log_probs = {pair: _log(self.probability(*pair)) for pair in self.counts}
+        self._log_floor = _log(floor_prob)
 
     def probability(self, w1: str, w2: str) -> float:
         count = self.counts.get((w1, w2))
@@ -72,11 +131,15 @@ class BigramModel:
         return count / self.total
 
     def log_probability(self, w1: str, w2: str) -> float:
-        p = self.probability(w1, w2)
-        return math.log(p) if p > 0.0 else float("-inf")
+        """``log(probability(w1, w2))``, and -inf where that is 0."""
+        return self._log_probs.get((w1, w2), self._log_floor)
 
     def __len__(self) -> int:
         return len(self.counts)
+
+
+def _log(p: float) -> float:
+    return math.log(p) if p > 0.0 else float("-inf")
 
 
 def load_lexicon(path) -> Lexicon:

@@ -3,10 +3,10 @@
 :func:`build_profiles` works in three flat phases over all users at once:
 
 1. collect the distinct raw hashtags, in order of first appearance;
-2. parse each distinct raw hashtag once with :meth:`Hashtag.parse`, and
-   segment each distinct normalized body once with :func:`segment`,
-   giving each raw hashtag its tokens: ``()`` when its body has no split,
-   ``None`` when it does not normalize;
+2. parse each distinct raw hashtag once with :meth:`Hashtag.parse`, then
+   segment every distinct normalized body in one :func:`segment_all`
+   batch, giving each raw hashtag its tokens: ``()`` when its body has no
+   split, ``None`` when it does not normalize;
 3. build each :class:`Profile` from those tokens.
 
 :func:`build_profile` is a batch of one.
@@ -20,7 +20,8 @@ from itertools import chain
 
 from tagrec.corpus import BigramModel, Lexicon
 from tagrec.errors import InputError, ParseError
-from tagrec.segmenter import Hashtag, segment
+from tagrec.segmenter import Hashtag, segment_all
+from tagrec.segmenter import segment  # noqa: F401  pipebench/spans.py wraps profiles.segment
 from tagrec.tsv import read_rows
 
 logger = logging.getLogger(__name__)
@@ -72,8 +73,8 @@ def build_profiles(pairs, lexicon: Lexicon, bigrams: BigramModel) -> list[Profil
     Works in the three phases the module docstring describes, so each
     distinct raw hashtag is parsed once per call and each distinct
     normalized body is segmented once.  One INFO line gives the hashtags,
-    the distinct raw hashtags, the :func:`segment` calls and the hashtags
-    that contributed no words.
+    the distinct raw hashtags, the distinct bodies and the hashtags that
+    contributed no words.
     """
     pairs = [(user_id, tuple(hashtags)) for user_id, hashtags in pairs]
     # 1. the distinct raw hashtags, in order of first appearance; phase 2
@@ -82,16 +83,20 @@ def build_profiles(pairs, lexicon: Lexicon, bigrams: BigramModel) -> list[Profil
     tokens_of: dict[str, tuple[str, ...] | None] = dict.fromkeys(
         chain.from_iterable(hashtags for _, hashtags in pairs)
     )
-    # 2. parse each distinct raw hashtag once, segment each distinct body once
-    splits: dict[str, tuple[str, ...]] = {}  # normalized body -> tokens
+    # 2. parse each distinct raw hashtag once, then segment every distinct
+    # body, in order of first appearance, in one batch
+    body_of: dict[str, str] = {}  # raw hashtag -> its normalized body
+    first: dict[str, Hashtag] = {}  # normalized body -> the first hashtag with it
     for raw in tokens_of:
         try:
             tag = Hashtag.parse(raw)
         except InputError:
             continue
-        if tag.normalized not in splits:
-            splits[tag.normalized] = segment(tag, lexicon, bigrams).tokens
-        tokens_of[raw] = splits[tag.normalized]
+        body_of[raw] = tag.normalized
+        first.setdefault(tag.normalized, tag)
+    splits = {r.hashtag.normalized: r.tokens for r in segment_all(first.values(), lexicon, bigrams)}
+    for raw, body in body_of.items():
+        tokens_of[raw] = splits[body]
     # 3. the profiles
     built = []
     for user_id, hashtags in pairs:
@@ -106,10 +111,10 @@ def build_profiles(pairs, lexicon: Lexicon, bigrams: BigramModel) -> list[Profil
             )
         )
     logger.info(
-        "profiles: %d hashtags, %d distinct raw hashtags, %d segment calls, %d hashtags contributed no words",
+        "profiles: %d hashtags, %d distinct raw hashtags, %d distinct bodies, %d hashtags contributed no words",
         sum(len(hashtags) for _, hashtags in pairs),
         len(tokens_of),
-        len(splits),
+        len(first),
         sum(p.n_unsegmentable + p.n_invalid for p in built),
     )
     return built

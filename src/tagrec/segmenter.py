@@ -3,17 +3,20 @@
 A hashtag body may be split only into lexicon words; when several splits
 compete, the one whose adjacent-word bigrams carry the highest joint
 probability wins.  A body that is itself a dictionary word short-circuits
-both steps.  :func:`segment` finds the winner with a Viterbi dynamic
-program over the lexicon lattice (Norvig, "Natural Language Corpus
-Data", *Beautiful Data*, 2009), so it never lists the splits;
-:func:`enumerate_segmentations` lists them, up to a cap, for inspection
-and for tests.  The lattice is built forward from the start of the
-body, so the lexicon is asked for pieces only at positions that some
-split of the text before them reaches.  A result depends on the body
-alone, so :func:`tagrec.profiles.build_profiles` gathers the distinct
-raw hashtags of all its users first; then one loop there parses each of
-them once with :meth:`Hashtag.parse` and calls :func:`segment` once per
-distinct body.
+both steps.  :func:`segment_all` segments a batch of hashtags at once:
+one walk of the lexicon's character trie (:attr:`Lexicon.trie`) finds
+the lattice of lexicon words of every body in lock-step, round r starting
+a walk at every position that a split of r words reaches, in the manner
+of Aho and Corasick's many-pattern matcher (1975).  Where one split
+exists its words are read off the lattice; where several do, a Viterbi
+dynamic program over the lattice (Norvig, "Natural Language Corpus
+Data", *Beautiful Data*, 2009) finds the winner without listing the
+splits.  :func:`segment` is a batch of one, and
+:func:`enumerate_segmentations` lists the splits, up to a cap, for
+inspection and for tests.  A result depends on the body alone, so
+:func:`tagrec.profiles.build_profiles` parses each distinct raw hashtag
+of all its users once with :meth:`Hashtag.parse`, then passes every
+distinct body to one :func:`segment_all` call.
 """
 
 from __future__ import annotations
@@ -21,8 +24,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Iterator, NamedTuple
 
-from tagrec.corpus import _WORD_RE, BigramModel, Lexicon
+import numpy as np
+
+from tagrec.corpus import _WORD_RE, DEAD, DEAD_COLUMN, ROOT, BigramModel, Lexicon, Trie
 from tagrec.errors import InputError
 from tagrec.tsv import read_rows
 
@@ -36,7 +42,7 @@ class SegmentStatus(Enum):
     UNSEGMENTABLE = "unsegmentable"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Hashtag:
     """A raw hashtag and its normalized letters-only body."""
 
@@ -66,6 +72,99 @@ def _as_hashtag(value: Hashtag | str) -> Hashtag:
     return value if isinstance(value, Hashtag) else Hashtag.parse(value)
 
 
+class _Lattice(NamedTuple):
+    """The lexicon lattice of a batch of bodies, from :func:`_walk`.
+
+    Positions index the bodies joined by a separator: body ``k`` spans
+    ``starts[k]`` up to the separator at ``starts[k] + len(body)``.
+    ``walked[p]`` is true where a walk started, which is at every position
+    that a split reaches, the body's end among them.  ``paths[p]`` counts
+    the splits of the rest of its body from there, capped at 2: 1 at a
+    reached end, 0 at every position no split reaches.  The edges are the
+    lexicon words on some complete split, ordered by start, then length:
+    ``origin`` is where each starts and ``state`` the trie state that
+    spells it.  Body ``k``'s edges are those from ``bounds[k]`` up to
+    ``bounds[k + 1]``.
+    """
+
+    starts: np.ndarray
+    walked: np.ndarray
+    paths: np.ndarray
+    origin: np.ndarray
+    state: np.ndarray
+    bounds: np.ndarray
+
+
+def _walk(bodies: list[str], trie: Trie) -> _Lattice:
+    """Find the lexicon lattice of every body at once, in lock-step.
+
+    Round r starts a walk at every position that a split of r words
+    reaches, in every body, and advances them all one letter at a time
+    through the trie; each word end found that no walk has started at
+    starts one in the next round.  The paths are then counted backward,
+    for all bodies at once a position within them at a time, and the
+    edges that lead to no complete split are dropped.  Positions are
+    int32, so the joined bodies must hold fewer than 2**31 characters.
+    """
+    text = ("\n".join(bodies) + "\n").encode("ascii", "replace")  # one byte per character
+    if len(text) >= 2**31:
+        raise InputError(f"cannot segment {len(text)} characters of hashtag bodies in one batch")
+    column = np.frombuffer(text, np.uint8) - np.uint8(ord("a"))
+    del text
+    np.minimum(column, DEAD_COLUMN, out=column)
+    lengths = np.fromiter(map(len, bodies), np.int32, len(bodies))
+    starts = np.cumsum(lengths + 1, dtype=np.int32) - (lengths + 1)
+    table, is_word = trie.table.ravel(), trie.is_word
+    walked = np.zeros(column.size, bool)
+    walked[starts] = True
+    # every word found, as origin << 32 | state; a state's id exceeds its
+    # parent's, so sorted these run by origin, then length
+    front, found = starts, [np.zeros(0, np.int64)]
+    while front.size:
+        origin, state, step, ahead = front, np.full(front.size, ROOT, np.int32), 0, [starts[:0]]
+        while origin.size:
+            state = table[state * (DEAD_COLUMN + 1) + column[origin + step]]
+            step += 1
+            live = state != DEAD
+            origin, state = origin[live], state[live]
+            hit = is_word[state]
+            if np.count_nonzero(hit):
+                word = origin[hit]
+                found.append(word.astype(np.int64) << 32 | state[hit])
+                end = word + step
+                new = end[~walked[end]]
+                walked[new] = True
+                ahead.append(new)
+        front = np.concatenate(ahead)
+    edges = np.concatenate(found)
+    del found
+    edges.sort()
+    origin, state = (edges >> 32).astype(np.int32), (edges & 0xFFFFFFFF).astype(np.int32)
+    del edges
+    end = origin + trie.depth[state]
+    paths = np.zeros(column.size, np.int8)
+    ends = starts + lengths
+    paths[ends] = walked[ends]
+    within = origin - np.repeat(starts, np.diff(_bounds(origin, starts, column.size)))
+    for i in range(int(within.max(initial=0)), -1, -1):
+        at = (within == i).nonzero()[0]  # the words from position i of each body, all ending past it
+        if not at.size:
+            continue
+        here = origin[at]
+        head = np.ones(at.size, bool)  # where each origin's words begin
+        np.not_equal(here[1:], here[:-1], out=head[1:])
+        heads = head.nonzero()[0]
+        paths[here[heads]] = np.minimum(np.add.reduceat(paths[end[at]], heads, dtype=np.intp), 2)
+    keep = paths[end] > 0
+    origin, state = origin[keep], state[keep]
+    return _Lattice(starts, walked, paths, origin, state, _bounds(origin, starts, column.size))
+
+
+def _bounds(origin: np.ndarray, starts: np.ndarray, size: int) -> np.ndarray:
+    """Where each body's edges begin in the sorted ``origin``, then its size."""
+    return np.searchsorted(origin, np.append(starts, size))
+
+
 def _lattice(body: str, lexicon: Lexicon) -> tuple[list[list[str]], list[int]]:
     """The lexicon words of ``body`` that lie on some complete split.
 
@@ -74,43 +173,15 @@ def _lattice(body: str, lexicon: Lexicon) -> tuple[list[list[str]], list[int]]:
     ``words[i]`` lists the lexicon words that start at ``i`` and after
     which the rest of the body still splits, in order of length, and
     ``paths[i]`` counts the splits of ``body[i:]``, capped at 2.  At every
-    other position ``words[i]`` is ``[]`` and ``paths[i]`` is 0.
-
-    The lattice is built forward from position 0, so the lexicon is asked
-    for pieces only at positions an earlier word ends at; the paths are
-    then counted backward over those positions only.
+    other position ``words[i]`` is ``[]`` and ``paths[i]`` is 0.  This is
+    :func:`_walk`'s lattice of the batch of one.
     """
-    length = len(body)
-    prefixes = lexicon.prefixes
-    words: list[list[str]] = [[] for _ in range(length)]
-    # 1 marks position 0 and each position a word ends at, until its paths are counted
-    paths = [0] * (length + 1)
-    paths[0] = 1
-    starts = []
-    for i in range(length):
-        if not paths[i]:
-            continue
-        starts.append(i)
-        here = words[i]
-        for j in range(i + 1, length + 1):
-            word = prefixes.get(body[i:j])
-            if word is None:
-                break
-            if word:
-                here.append(word)
-                paths[j] = 1
-    # paths[length] keeps its mark: 1 when a word ends there, else 0
-    for i in reversed(starts):
-        count = 0
-        onward = []
-        for w in words[i]:
-            n = paths[i + len(w)]
-            if n:
-                onward.append(w)
-                count += n
-        words[i] = onward
-        paths[i] = 2 if count > 2 else count
-    return words, paths
+    trie = lexicon.trie
+    lattice = _walk([body], trie)
+    words: list[list[str]] = [[] for _ in body]
+    for i, w in zip(lattice.origin.tolist(), trie.words[lattice.state].tolist()):
+        words[i].append(w)
+    return words, lattice.paths[: len(body) + 1].tolist()
 
 
 def enumerate_segmentations(
@@ -188,53 +259,64 @@ def segment(hashtag: Hashtag | str, lexicon: Lexicon, bigrams: BigramModel) -> S
     * none exist (or, with a zero bigram floor, all score -inf) ->
       ``unsegmentable`` with no tokens.
 
+    This is :func:`segment_all` of a batch of one.
+    """
+    return next(segment_all([hashtag], lexicon, bigrams))
+
+
+def segment_all(hashtags, lexicon: Lexicon, bigrams: BigramModel) -> Iterator[SegmentResult]:
+    """Segment every hashtag by the rules of :func:`segment`, in order.
+
+    Every hashtag is parsed before the first result; then one
+    :func:`_walk` finds the lattice of all their bodies at once, and the
+    results are yielded one at a time.
+
     Every split is considered, without enumerating them: a Viterbi pass
     runs left to right over (end position, last word) states of the
     lexicon lattice, where the score of a path is the left-to-right sum
     :func:`score_segmentation` computes.  Each state keeps the prefixes no
     other prefix there dominates (see :func:`_keep`), so the result is the
-    exact argmax of the rules above.
+    exact argmax of the rules above.  A body with one split needs no such
+    pass: every edge of its lattice lies on that split.
     """
-    h = _as_hashtag(hashtag)
-    body = h.normalized
-    if body in lexicon:
-        return SegmentResult(h, (body,), SegmentStatus.EXACT_WORD, 0.0)
-
-    length = len(body)
-    words, paths = _lattice(body, lexicon)
-    if not paths[0]:
-        return SegmentResult(h, (), SegmentStatus.UNSEGMENTABLE, float("-inf"))
-    if paths[0] == 1:
-        # One split: every position on it has exactly one word onward.
-        tokens: list[str] = []
-        pos = 0
-        while pos < length:
-            (w,) = words[pos]
-            tokens.append(w)
-            pos += len(w)
-        return SegmentResult(h, tuple(tokens), SegmentStatus.UNIQUE, score_segmentation(tokens, bigrams))
-
-    # states[i][w]: the non-dominated (score, tokens) prefixes that cover
-    # body[:i] and end in the word w.
-    states: list[dict[str, list[tuple[float, tuple[str, ...]]]]] = [{} for _ in range(length + 1)]
-    for w in words[0]:
-        states[len(w)][w] = [(0.0, (w,))]
-    for pos in range(1, length):
-        here = states[pos]
-        if not here:
+    tags = [_as_hashtag(h) for h in hashtags]
+    trie = lexicon.trie
+    lattice = _walk([h.normalized for h in tags], trie)
+    names = trie.words[lattice.state].tolist()  # the word of each edge
+    bounds = lattice.bounds.tolist()
+    for k, (h, n) in enumerate(zip(tags, lattice.paths[lattice.starts].tolist())):
+        body = h.normalized
+        if body in lexicon:
+            yield SegmentResult(h, (body,), SegmentStatus.EXACT_WORD, 0.0)
             continue
-        for w in words[pos]:
-            front = states[pos + len(w)].setdefault(w, [])
-            for prev, prefixes in here.items():
+        if not n:
+            yield SegmentResult(h, (), SegmentStatus.UNSEGMENTABLE, float("-inf"))
+            continue
+        edges = slice(bounds[k], bounds[k + 1])
+        words = names[edges]
+        if n == 1:
+            tokens = tuple(words)
+            yield SegmentResult(h, tokens, SegmentStatus.UNIQUE, score_segmentation(tokens, bigrams))
+            continue
+        # states[i][w]: the non-dominated (score, tokens) prefixes that cover
+        # body[:i] and end in the word w.
+        states: dict[int, dict[str, list[tuple[float, tuple[str, ...]]]]] = {}
+        for pos, w in zip((lattice.origin[edges] - lattice.starts[k]).tolist(), words):
+            front = states.setdefault(pos + len(w), {}).setdefault(w, [])
+            if not pos:
+                front.append((0.0, (w,)))
+                continue
+            for prev, prefixes in states[pos].items():
                 step = bigrams.log_probability(prev, w)
                 for score, tokens in prefixes:
                     _keep(front, score + step, tokens + (w,))
-    best_score, best = min(
-        (p for front in states[length].values() for p in front), key=lambda p: (-p[0], len(p[1]), p[1])
-    )
-    if best_score == float("-inf"):  # all paths hit unseen bigrams under a zero floor
-        return SegmentResult(h, (), SegmentStatus.UNSEGMENTABLE, float("-inf"))
-    return SegmentResult(h, best, SegmentStatus.DISAMBIGUATED, best_score)
+        best_score, best = min(
+            (p for front in states[len(body)].values() for p in front), key=lambda p: (-p[0], len(p[1]), p[1])
+        )
+        if best_score == float("-inf"):  # all paths hit unseen bigrams under a zero floor
+            yield SegmentResult(h, (), SegmentStatus.UNSEGMENTABLE, float("-inf"))
+        else:
+            yield SegmentResult(h, best, SegmentStatus.DISAMBIGUATED, best_score)
 
 
 @dataclass(frozen=True)
@@ -259,21 +341,26 @@ class EvaluationReport:
 def evaluate_segmenter(golden, lexicon: Lexicon, bigrams: BigramModel) -> EvaluationReport:
     """Score the segmenter against ``(hashtag, expected tokens)`` pairs.
 
-    A case counts as correct only on an exact token-sequence match.
+    A case counts as correct only on an exact token-sequence match; a
+    hashtag that does not normalize produces no tokens.  Every hashtag is
+    parsed first, then the valid ones are segmented in one batch.
     Failures whose expected tokens are missing from the lexicon are
     flagged ``lexicon_miss``: the lexical step cannot succeed there.
     """
-    golden = list(golden)
+    golden = [(raw, tuple(expected)) for raw, expected in golden]
     if not golden:
         raise InputError("golden set is empty")
+    tags: list[Hashtag | None] = []
+    for raw, _ in golden:
+        try:
+            tags.append(_as_hashtag(raw))
+        except InputError:
+            tags.append(None)
+    results = segment_all([tag for tag in tags if tag is not None], lexicon, bigrams)
     correct = 0
     failures: list[SegmentationFailure] = []
-    for raw, expected in golden:
-        expected = tuple(expected)
-        try:
-            produced = segment(raw, lexicon, bigrams).tokens
-        except InputError:
-            produced = ()
+    for (raw, expected), tag in zip(golden, tags):
+        produced = () if tag is None else next(results).tokens
         if produced == expected:
             correct += 1
         else:

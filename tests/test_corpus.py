@@ -2,9 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from tagrec.corpus import BigramModel, load_bigrams, load_lexicon
+from tagrec.corpus import DEAD, DEAD_COLUMN, ROOT, BigramModel, Lexicon, load_bigrams, load_lexicon
 from tagrec.errors import EmptyResourceError, InputError, ParseError, ResourceError
 
 
@@ -43,9 +44,36 @@ class TestLoadLexicon:
         assert lex.skipped_lines == 0
 
     def test_membership_and_prefixes(self, tmp_path):
-        lex = load_lexicon(write(tmp_path, "lex.txt", "a\nlonger\n"))
+        lex = load_lexicon(write(tmp_path, "lex.txt", "a\nlonger\nlong\n"))
         assert "a" in lex and "b" not in lex
-        assert lex.prefixes == {"a": "a", "l": "", "lo": "", "lon": "", "long": "", "longe": "", "longer": "longer"}
+        trie = lex.trie
+        assert trie is lex.trie
+
+        def spell(text):
+            state = ROOT
+            for ch in text:
+                state = int(trie.table[state, ord(ch) - ord("a") if "a" <= ch <= "z" else DEAD_COLUMN])
+            return state
+
+        # one state per prefix of a word, past DEAD and ROOT
+        prefixes = ["a", "l", "lo", "lon", "long", "longe", "longer"]
+        states = [spell(p) for p in prefixes]
+        assert sorted(states) == list(range(ROOT + 1, len(trie.table)))
+        assert [trie.words[s] for s in states] == ["a", None, None, None, "long", None, "longer"]
+        assert trie.is_word.tolist() == [w is not None for w in trie.words]
+        assert [trie.depth[s] for s in states] == [len(p) for p in prefixes]
+        assert all(states[i] < states[i + 1] for i in range(1, len(states) - 1))  # a child after its parent
+        (longer,) = (w for w in lex.words if w == "longer")
+        assert trie.words[spell("longer")] is longer  # the lexicon's own string
+        for dead in ["b", "ab", "longerx", "lo-", "l\n"]:
+            assert spell(dead) == DEAD
+        assert (trie.table[DEAD] == DEAD).all() and (trie.table[:, DEAD_COLUMN] == DEAD).all()
+        assert trie.table.dtype == np.int32 and trie.table.shape[1] == DEAD_COLUMN + 1
+
+    def test_trie_leaves_out_words_outside_a_to_z(self):
+        trie = Lexicon(words=frozenset({"ab", "a-b", "Ab", "café"})).trie
+        assert [w for w in trie.words if w is not None] == ["ab"]
+        assert len(trie.table) == 4  # DEAD, ROOT, "a", "ab"
 
 
 class TestLoadBigrams:
@@ -106,6 +134,18 @@ class TestBigramModel:
         assert model.probability("x", "y") == 0.0
         assert model.log_probability("x", "y") == float("-inf")
         assert model.log_probability("a", "b") == math.log(1.0)
+
+    @pytest.mark.parametrize("floor", [1e-9, 0.0])
+    def test_log_probability_is_log_of_probability(self, worked_bigrams_file, floor):
+        model = load_bigrams(worked_bigrams_file, floor_prob=floor)
+        words = sorted({w for pair in model.counts for w in pair} | {"zzz"})
+        unseen = 0
+        for a in words:
+            for b in words:
+                p = model.probability(a, b)
+                assert model.log_probability(a, b) == (math.log(p) if p > 0 else float("-inf")), (a, b)
+                unseen += (a, b) not in model.counts
+        assert unseen and model.log_probability("zzz", "zzz") == (math.log(floor) if floor else float("-inf"))
 
     def test_floor_must_be_below_one(self):
         with pytest.raises(InputError):

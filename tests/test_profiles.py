@@ -99,23 +99,24 @@ class TestBuildProfiles:
         assert profiles[1].words == frozenset()
 
     def test_segments_each_distinct_body_once(self, worked_lexicon, worked_bigrams, monkeypatch):
-        # Patched where build_profiles looks it up, as the benchmark's tracer does.
-        segment = profiles.segment
+        # Patched where build_profiles looks it up.
+        segment_all = profiles.segment_all
         calls = []
 
-        def counting_segment(*args):
-            result = segment(*args)
-            calls.append(result.hashtag.normalized)
-            return result
+        def counting_segment(hashtags, *args):
+            hashtags = list(hashtags)
+            calls.append([h.normalized for h in hashtags])
+            return segment_all(hashtags, *args)
 
         pairs = [
             ("u1", ["#WorldWideFestival", "#xqzv", "#tbt2015"]),
             ("u2", ["worldwidefestival", "#worldwide", "#xqzv"]),
             ("u3", ["#worldwidefestival", "#XQZV", "#throwbackthursday"]),
         ]
-        monkeypatch.setattr(profiles, "segment", counting_segment)
+        monkeypatch.setattr(profiles, "segment_all", counting_segment)
         batch = build_profiles(pairs, worked_lexicon, worked_bigrams)
-        assert sorted(calls) == ["throwbackthursday", "worldwide", "worldwidefestival", "xqzv"]
+        # one batch, each distinct body once, in order of first appearance
+        assert calls == [["worldwidefestival", "xqzv", "worldwide", "throwbackthursday"]]
         assert batch == [build_profile(user_id, tags, worked_lexicon, worked_bigrams) for user_id, tags in pairs]
         assert [p.n_unsegmentable for p in batch] == [1, 1, 1]
         assert [p.n_invalid for p in batch] == [1, 0, 0]
@@ -124,15 +125,16 @@ class TestBuildProfiles:
         parse = Hashtag.parse.__func__
         parsed = []
         segmented = []
-        segment = profiles.segment
+        segment_all = profiles.segment_all
 
         def counting_parse(cls, raw):
             parsed.append(raw)
             return parse(cls, raw)
 
-        def counting_segment(*args):
-            segmented.append(args[0])
-            return segment(*args)
+        def counting_segment(hashtags, *args):
+            hashtags = list(hashtags)
+            segmented.append(hashtags)
+            return segment_all(hashtags, *args)
 
         pairs = [
             ("u1", ["#Foo", "#tbt2015", "#xqzv", "#tbt2015", "#xqzv", "#Foo"]),
@@ -140,18 +142,20 @@ class TestBuildProfiles:
             ("u3", ["#worldwide", "#Foo", "#xqzv"]),
         ]
         monkeypatch.setattr(Hashtag, "parse", classmethod(counting_parse))
-        monkeypatch.setattr(profiles, "segment", counting_segment)
+        monkeypatch.setattr(profiles, "segment_all", counting_segment)
         caplog.set_level(logging.INFO, logger="tagrec.profiles")
         batch = build_profiles(pairs, worked_lexicon, worked_bigrams)
         assert sorted(parsed) == sorted({raw for _, tags in pairs for raw in tags})
-        # "#Foo", "#foo" and "foo" share the body "foo", segmented once
-        assert sorted(s.normalized for s in segmented) == ["foo", "worldwide", "xqzv"]
+        # "#Foo", "#foo" and "foo" share the body "foo", segmented once in the one batch
+        (hashtags,) = segmented
+        assert [h.normalized for h in hashtags] == ["foo", "xqzv", "worldwide"]
+        assert [h.raw for h in hashtags] == ["#Foo", "#xqzv", "#worldwide"]
         assert [p.n_invalid for p in batch] == [2, 1, 0]
         assert [p.n_unsegmentable for p in batch] == [4, 3, 2]
         assert [p.words for p in batch] == [frozenset(), {"worldwide"}, {"worldwide"}]
         (record,) = [r for r in caplog.records if r.name == "tagrec.profiles"]
         assert record.getMessage() == (
-            "profiles: 14 hashtags, 6 distinct raw hashtags, 3 segment calls, 12 hashtags contributed no words"
+            "profiles: 14 hashtags, 6 distinct raw hashtags, 3 distinct bodies, 12 hashtags contributed no words"
         )
 
     def test_matches_reference_without_memo(self, worked_lexicon, worked_bigrams):

@@ -3,18 +3,23 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+from tagrec import segmenter
 from tagrec.corpus import BigramModel, Lexicon
 from tagrec.errors import InputError
 from tagrec.segmenter import (
     Hashtag,
+    SegmentationFailure,
     SegmentStatus,
     _lattice,
+    _walk,
     enumerate_segmentations,
     evaluate_segmenter,
     score_segmentation,
     segment,
+    segment_all,
 )
 
 
@@ -247,7 +252,7 @@ def documented_rule(body, lexicon, bigrams):
     """``(tokens, status)`` by the rules of ``segment``, over every split."""
     if body in lexicon:
         return (body,), SegmentStatus.EXACT_WORD
-    splits, truncated = enumerate_segmentations(body, lexicon, max_candidates=1 << 16)
+    splits, truncated = enumerate_segmentations(Hashtag(raw=body, normalized=body), lexicon, max_candidates=1 << 16)
     assert not truncated
     if not splits:
         return (), SegmentStatus.UNSEGMENTABLE
@@ -284,18 +289,6 @@ def lattice_oracle(body, lexicon):
             words[i] = [body[i:j] for j in ends if body[i:j] in lexicon and (j == n or splits_of(body[j:], lexicon))]
             paths[i] = min(2, len(splits_of(body[i:], lexicon)))
     return words, paths, reached
-
-
-class CountingPrefixes(dict):
-    """A lexicon's prefix map that records every piece looked up in it."""
-
-    def __init__(self, prefixes):
-        super().__init__(prefixes)
-        self.pieces = []
-
-    def get(self, piece, default=None):
-        self.pieces.append(piece)
-        return super().get(piece, default)
 
 
 class TestLattice:
@@ -337,19 +330,90 @@ class TestLattice:
         assert rejected == (floor == 0.0)
 
     def test_looks_up_pieces_only_where_a_split_reaches(self):
-        for body in self.bodies():
-            lx = lex(*self.VOCAB)
-            counting = lx.__dict__["prefixes"] = CountingPrefixes(lx.prefixes)
-            _lattice(body, lx)
-            reached = lattice_oracle(body, lx)[2]
-            starts = [i for i in range(len(body)) if reached[i]]
-            for piece in counting.pieces:
-                assert any(body.startswith(piece, i) for i in starts), (body, piece)
-        # nothing after the first piece of a body no word starts
+        # the walk starts once at each position a split reaches, and nowhere else
         lx = lex(*self.VOCAB)
-        counting = lx.__dict__["prefixes"] = CountingPrefixes(lx.prefixes)
-        _lattice("dabab", lx)
-        assert counting.pieces == ["d"]
+        for body in self.bodies():
+            walked = _walk([body], lx.trie).walked
+            assert walked.tolist() == lattice_oracle(body, lx)[2], body
+        assert np.flatnonzero(_walk(["dabab"], lx.trie).walked).tolist() == [0]
+
+
+class TestBatch:
+    """``segment_all`` and ``_walk`` over many bodies at once, against the oracles."""
+
+    VOCAB = TestLattice.VOCAB
+
+    def check(self, bodies, lexicon, floor):
+        # Seen pairs count 1 each, so splits of one length tie on score.
+        counts = {(a, b): 1 for a in lexicon.words for b in lexicon.words if not {a, b} & {"ca", "cab"}}
+        model = BigramModel(counts, floor_prob=floor)
+        tags = [Hashtag(raw=f"#{body}", normalized=body) for body in bodies]
+        results = list(segment_all(tags, lexicon, model))
+        assert [r.hashtag for r in results] == tags
+        for tag, result in zip(tags, results):
+            body = tag.normalized
+            assert (result.tokens, result.status) == documented_rule(body, lexicon, model), body
+            if result.status in (SegmentStatus.UNIQUE, SegmentStatus.DISAMBIGUATED):
+                assert result.log_score == score_segmentation(result.tokens, model), body
+            assert result == segment(tag, lexicon, model)  # a batch of one
+        lattice = _walk(bodies, lexicon.trie)
+        for k, body in enumerate(bodies):
+            start = int(lattice.starts[k])
+            words, paths, reached = lattice_oracle(body, lexicon)
+            assert lattice.paths[start : start + len(body) + 1].tolist() == paths, body
+            assert lattice.walked[start : start + len(body) + 1].tolist() == reached, body
+            edges = slice(lattice.bounds[k], lattice.bounds[k + 1])
+            got = [[] for _ in body]
+            for i, state in zip(lattice.origin[edges].tolist(), lattice.state[edges].tolist()):
+                got[i - start].append(lexicon.trie.words[state])
+            assert got == words, body
+        return results
+
+    @pytest.mark.parametrize("floor", [1e-9, 0.0])
+    def test_matches_the_oracles_over_many_bodies(self, floor):
+        lx = lex(*self.VOCAB)
+        results = self.check(TestLattice().bodies(), lx, floor)
+        assert {r.status for r in results} == set(SegmentStatus)
+
+    @pytest.mark.parametrize("floor", [1e-9, 0.0])
+    def test_edge_batches(self, floor):
+        lx = lex(*self.VOCAB)
+        assert self.check([], lx, floor) == []
+        (one,) = self.check(["abab"], lx, floor)
+        assert one.status is SegmentStatus.DISAMBIGUATED
+        nothing = self.check(["d", "dd", "ddd"], lx, floor)  # no word found at all
+        assert {r.status for r in nothing} == {SegmentStatus.UNSEGMENTABLE}
+        exact = self.check(["abc", "ab", "a"], lx, floor)
+        assert [r.tokens for r in exact] == [("abc",), ("ab",), ("a",)]
+        assert {r.status for r in exact} == {SegmentStatus.EXACT_WORD}
+        repeated = self.check(["abab", "cab", "abab", "d", "abab"], lx, floor)
+        assert repeated[0] == repeated[2] == repeated[4] != repeated[1]
+
+    def test_path_counts_cap_at_two_past_many_words(self):
+        # 70 words start at each position of "a" * 70, most with 2 splits onward
+        lx = lex(*("a" * n for n in range(1, 71)))
+        words, paths = _lattice("a" * 70, lx)
+        assert [len(w) for w in words] == list(range(70, 0, -1))
+        assert paths == [2] * 69 + [1, 1]
+
+    def test_no_word_straddles_two_bodies(self):
+        lx = lex("abc", "ab")
+        results = self.check(["ab", "c"], lx, 1e-9)
+        assert [(r.tokens, r.status) for r in results] == [
+            (("ab",), SegmentStatus.EXACT_WORD),
+            ((), SegmentStatus.UNSEGMENTABLE),
+        ]
+        lattice = _walk(["ab", "c"], lx.trie)
+        assert lattice.state.size == 1 and lx.trie.words[lattice.state[0]] == "ab"
+
+    @pytest.mark.parametrize("floor", [1e-9, 0.0])
+    def test_bodies_outside_a_to_z(self, floor):
+        # Hashtag.parse admits only a-z, but a Hashtag built directly may hold anything
+        lx = lex(*self.VOCAB)
+        bodies = ["ab1ab", "abé", "éab", "ab\nab", "AB", "ab ab", "ab\udc80", "ab{", "ab`", "abab"]
+        results = self.check(bodies, lx, floor)
+        assert [r.status for r in results[:-1]] == [SegmentStatus.UNSEGMENTABLE] * (len(bodies) - 1)
+        assert results[-1].status is SegmentStatus.DISAMBIGUATED
 
 
 class TestEvaluate:
@@ -378,6 +442,39 @@ class TestEvaluate:
         (failure,) = report.failures
         assert failure.lexicon_miss
         assert failure.produced == ()
+
+    def test_segments_in_one_batch(self, worked_lexicon, worked_bigrams, monkeypatch):
+        golden = [
+            ("#worldwidefestival", ("worldwide", "festival")),
+            ("#tbt2015", ("tbt",)),
+            ("#throwbackthursday", ("throw", "back", "thursday")),
+            ("#", ()),
+            ("#WorldWide", ("worldwide",)),
+            ("#unknownzz", ("unknown", "zz")),
+            ("#worldwidefestival", ("world", "wide", "festival")),
+        ]
+        expected = []
+        for raw, tokens in golden:
+            try:
+                produced = segment(raw, worked_lexicon, worked_bigrams).tokens
+            except InputError:
+                produced = ()
+            if produced != tokens:
+                miss = any(t not in worked_lexicon for t in tokens)
+                expected.append(SegmentationFailure(raw, tokens, produced, miss))
+        batches = []
+        segment_all = segmenter.segment_all
+
+        def counting(hashtags, *args):
+            batches.append([h.raw for h in hashtags])
+            return segment_all(hashtags, *args)
+
+        monkeypatch.setattr(segmenter, "segment_all", counting)
+        report = evaluate_segmenter(iter(golden), worked_lexicon, worked_bigrams)
+        assert batches == [[raw for raw, _ in golden if raw not in ("#tbt2015", "#")]]
+        assert report.failures == tuple(expected)
+        assert (report.total, report.correct) == (7, 7 - len(expected))
+        assert [f.hashtag for f in report.failures] == ["#tbt2015", "#throwbackthursday", "#unknownzz", "#worldwidefestival"]
 
     def test_empty_golden_rejected(self, worked_lexicon, worked_bigrams):
         with pytest.raises(InputError):
