@@ -11,7 +11,7 @@ from dataclasses import MISSING, fields
 from tagrec import pipeline
 from tagrec.corpus import DEFAULT_FLOOR_PROB, load_bigrams, load_lexicon
 from tagrec.errors import InputError, ResourceError, TagrecError
-from tagrec.segmenter import evaluate_segmenter, load_golden, segment
+from tagrec.segmenter import SegmentStatus, evaluate_segmenter, load_golden, segment_all
 from tagrec.taxonomy import DEFAULT_IC_CAP
 
 logger = logging.getLogger("tagrec")
@@ -57,17 +57,10 @@ def _cmd_segment(args) -> int:
     source = open(args.infile, encoding="utf-8") if args.infile else nullcontext(sys.stdin)
     try:
         with source as lines, _open_out(args.out) as out:
-            for line in lines:
-                raw = line.strip()
-                if not raw:
-                    continue
-                try:
-                    result = segment(raw, lexicon, bigrams)
-                except InputError:
-                    logger.warning("rejected hashtag %r", raw)
-                    print(f"{raw}\tinvalid\t", file=out)
-                    continue
-                print(f"{raw}\t{result.status.value}\t{' '.join(result.tokens)}", file=out)
+            for result in segment_all(list(filter(None, map(str.strip, lines))), lexicon, bigrams):
+                if result.status is SegmentStatus.INVALID:
+                    logger.warning("rejected hashtag %r", result.hashtag.raw)
+                print(f"{result.hashtag.raw}\t{result.status.value}\t{' '.join(result.tokens)}", file=out)
     except UnicodeDecodeError as exc:  # only reading the input decodes
         raise ResourceError(f"cannot read hashtags {args.infile or '<stdin>'}: {exc}") from exc
     return 0

@@ -3,10 +3,10 @@
 :func:`build_profiles` works in three flat phases over all users at once:
 
 1. collect the distinct raw hashtags, in order of first appearance;
-2. parse each distinct raw hashtag once with :meth:`Hashtag.parse`, then
-   segment every distinct normalized body in one :func:`segment_all`
-   batch, giving each raw hashtag its tokens: ``()`` when its body has no
-   split, ``None`` when it does not normalize;
+2. segment them in one :func:`segment_all` batch, which parses each once
+   and segments each distinct body once, giving each raw hashtag its
+   tokens: ``()`` when its body has no split, ``None`` when it does not
+   normalize (an ``invalid`` result);
 3. build each :class:`Profile` from those tokens.
 
 :func:`build_profile` is a batch of one.
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from itertools import chain
 
 from tagrec.corpus import BigramModel, Lexicon
-from tagrec.errors import InputError, ParseError
-from tagrec.segmenter import Hashtag, segment_all
+from tagrec.errors import ParseError
+from tagrec.segmenter import SegmentStatus, segment_all
 from tagrec.segmenter import segment  # noqa: F401  pipebench/spans.py wraps profiles.segment
 from tagrec.tsv import read_rows
 
@@ -83,20 +83,12 @@ def build_profiles(pairs, lexicon: Lexicon, bigrams: BigramModel) -> list[Profil
     tokens_of: dict[str, tuple[str, ...] | None] = dict.fromkeys(
         chain.from_iterable(hashtags for _, hashtags in pairs)
     )
-    # 2. parse each distinct raw hashtag once, then segment every distinct
-    # body, in order of first appearance, in one batch
-    body_of: dict[str, str] = {}  # raw hashtag -> its normalized body
-    first: dict[str, Hashtag] = {}  # normalized body -> the first hashtag with it
-    for raw in tokens_of:
-        try:
-            tag = Hashtag.parse(raw)
-        except InputError:
-            continue
-        body_of[raw] = tag.normalized
-        first.setdefault(tag.normalized, tag)
-    splits = {r.hashtag.normalized: r.tokens for r in segment_all(first.values(), lexicon, bigrams)}
-    for raw, body in body_of.items():
-        tokens_of[raw] = splits[body]
+    # 2. segment every distinct raw hashtag in one batch
+    bodies: set[str] = set()
+    for raw, result in zip(tokens_of, segment_all(tokens_of, lexicon, bigrams)):
+        if result.status is not SegmentStatus.INVALID:
+            tokens_of[raw] = result.tokens
+            bodies.add(result.hashtag.normalized)
     # 3. the profiles
     built = []
     for user_id, hashtags in pairs:
@@ -114,7 +106,7 @@ def build_profiles(pairs, lexicon: Lexicon, bigrams: BigramModel) -> list[Profil
         "profiles: %d hashtags, %d distinct raw hashtags, %d distinct bodies, %d hashtags contributed no words",
         sum(len(hashtags) for _, hashtags in pairs),
         len(tokens_of),
-        len(first),
+        len(bodies),
         sum(p.n_unsegmentable + p.n_invalid for p in built),
     )
     return built

@@ -11,12 +11,13 @@ of Aho and Corasick's many-pattern matcher (1975).  Where one split
 exists its words are read off the lattice; where several do, a Viterbi
 dynamic program over the lattice (Norvig, "Natural Language Corpus
 Data", *Beautiful Data*, 2009) finds the winner without listing the
-splits.  :func:`segment` is a batch of one, and
-:func:`enumerate_segmentations` lists the splits, up to a cap, for
-inspection and for tests.  A result depends on the body alone, so
-:func:`tagrec.profiles.build_profiles` parses each distinct raw hashtag
-of all its users once with :meth:`Hashtag.parse`, then passes every
-distinct body to one :func:`segment_all` call.
+splits.  :func:`segment_all` is also the one place that parses raw
+hashtags: an input that does not normalize gets an ``invalid`` result
+in its place instead of ending the batch, and since a result depends on
+the body alone, each distinct body is walked and segmented once however
+often it occurs.  :func:`segment` is a batch of one that raises on an
+invalid input, and :func:`enumerate_segmentations` lists the splits, up
+to a cap, for inspection and for tests.
 """
 
 from __future__ import annotations
@@ -40,23 +41,38 @@ class SegmentStatus(Enum):
     UNIQUE = "unique"
     DISAMBIGUATED = "disambiguated"
     UNSEGMENTABLE = "unsegmentable"
+    INVALID = "invalid"
+
+
+def _normalize(raw: str) -> str:
+    """The letters-only body of a raw hashtag, or ``""`` if it has none."""
+    body = raw.strip().removeprefix("#").lower()
+    return body if _WORD_RE.fullmatch(body) else ""
+
+
+def _invalid(raw: str) -> InputError:
+    return InputError(f"hashtag {raw!r} does not normalize to a non-empty letters-only body")
 
 
 @dataclass(frozen=True, slots=True)
 class Hashtag:
-    """A raw hashtag and its normalized letters-only body."""
+    """A raw hashtag and its normalized letters-only body.
+
+    The body is the raw text stripped of surrounding whitespace and one
+    leading ``#``, lowercased; it normalizes when that is one or more
+    letters ``a``-``z``.  :meth:`parse` raises where it does not, while
+    :func:`segment_all` gives such an input ``Hashtag(raw, "")`` and an
+    ``invalid`` result.
+    """
 
     raw: str
     normalized: str
 
     @classmethod
     def parse(cls, raw: str) -> "Hashtag":
-        body = raw.strip()
-        if body.startswith("#"):
-            body = body[1:]
-        body = body.lower()
-        if not _WORD_RE.fullmatch(body):
-            raise InputError(f"hashtag {raw!r} does not normalize to a non-empty letters-only body")
+        body = _normalize(raw)
+        if not body:
+            raise _invalid(raw)
         return cls(raw=raw, normalized=body)
 
 
@@ -66,10 +82,6 @@ class SegmentResult:
     tokens: tuple[str, ...]
     status: SegmentStatus
     log_score: float
-
-
-def _as_hashtag(value: Hashtag | str) -> Hashtag:
-    return value if isinstance(value, Hashtag) else Hashtag.parse(value)
 
 
 class _Lattice(NamedTuple):
@@ -165,25 +177,6 @@ def _bounds(origin: np.ndarray, starts: np.ndarray, size: int) -> np.ndarray:
     return np.searchsorted(origin, np.append(starts, size))
 
 
-def _lattice(body: str, lexicon: Lexicon) -> tuple[list[list[str]], list[int]]:
-    """The lexicon words of ``body`` that lie on some complete split.
-
-    Returns ``(words, paths)``, defined at the positions that a split of
-    ``body[:i]`` into lexicon words reaches, 0 among them: there
-    ``words[i]`` lists the lexicon words that start at ``i`` and after
-    which the rest of the body still splits, in order of length, and
-    ``paths[i]`` counts the splits of ``body[i:]``, capped at 2.  At every
-    other position ``words[i]`` is ``[]`` and ``paths[i]`` is 0.  This is
-    :func:`_walk`'s lattice of the batch of one.
-    """
-    trie = lexicon.trie
-    lattice = _walk([body], trie)
-    words: list[list[str]] = [[] for _ in body]
-    for i, w in zip(lattice.origin.tolist(), trie.words[lattice.state].tolist()):
-        words[i].append(w)
-    return words, lattice.paths[: len(body) + 1].tolist()
-
-
 def enumerate_segmentations(
     hashtag: Hashtag | str,
     lexicon: Lexicon,
@@ -197,11 +190,16 @@ def enumerate_segmentations(
     """
     if max_candidates < 1:
         raise InputError(f"max_candidates must be positive, got {max_candidates}")
-    body = _as_hashtag(hashtag).normalized
+    body = (hashtag if isinstance(hashtag, Hashtag) else Hashtag.parse(hashtag)).normalized
     length = len(body)
-    words, paths = _lattice(body, lexicon)
-    if not paths[0]:
+    trie = lexicon.trie
+    lattice = _walk([body], trie)
+    if not lattice.paths[0]:
         return [], False
+    # words[i]: the lexicon words from i on some complete split, by length
+    words: list[list[str]] = [[] for _ in body]
+    for i, w in zip(lattice.origin.tolist(), trie.words[lattice.state].tolist()):
+        words[i].append(w)
 
     # Best-first expansion pops complete paths in (token count, tokens)
     # order, so truncation keeps the fewest-token candidates.
@@ -259,44 +257,61 @@ def segment(hashtag: Hashtag | str, lexicon: Lexicon, bigrams: BigramModel) -> S
     * none exist (or, with a zero bigram floor, all score -inf) ->
       ``unsegmentable`` with no tokens.
 
-    This is :func:`segment_all` of a batch of one.
+    This is :func:`segment_all` of a batch of one, except that a hashtag
+    whose result would be ``invalid`` raises :class:`InputError`.
     """
-    return next(segment_all([hashtag], lexicon, bigrams))
+    result = next(segment_all([hashtag], lexicon, bigrams))
+    if result.status is SegmentStatus.INVALID:
+        raise _invalid(result.hashtag.raw)
+    return result
 
 
 def segment_all(hashtags, lexicon: Lexicon, bigrams: BigramModel) -> Iterator[SegmentResult]:
     """Segment every hashtag by the rules of :func:`segment`, in order.
 
-    Every hashtag is parsed before the first result; then one
-    :func:`_walk` finds the lattice of all their bodies at once, and the
-    results are yielded one at a time.
+    ``hashtags`` holds raw strings, parsed here, and :class:`Hashtag`
+    values.  A raw string that does not normalize, and a ``Hashtag`` with
+    an empty body, give an ``invalid`` result in their place: no tokens,
+    a log score of -inf and ``Hashtag(raw, "")``.  Every input is parsed,
+    and one :func:`_walk` finds the lattice of each distinct non-empty
+    body, in order of first appearance, before the first result; each
+    body is segmented once, and the results are yielded one per input.
+    """
+    tags = [h if isinstance(h, Hashtag) else Hashtag(h, _normalize(h)) for h in hashtags]
+    bodies = list(dict.fromkeys(h.normalized for h in tags if h.normalized))
+    segmented = dict(zip(bodies, _segment_bodies(bodies, lexicon, bigrams)))
+    segmented[""] = (), SegmentStatus.INVALID, float("-inf")  # the body of every invalid input
+    for h in tags:
+        yield SegmentResult(h, *segmented[h.normalized])
+
+
+def _segment_bodies(bodies: list[str], lexicon: Lexicon, bigrams: BigramModel):
+    """Yield ``(tokens, status, log_score)`` for each body, in order.
 
     Every split is considered, without enumerating them: a Viterbi pass
     runs left to right over (end position, last word) states of the
     lexicon lattice, where the score of a path is the left-to-right sum
     :func:`score_segmentation` computes.  Each state keeps the prefixes no
     other prefix there dominates (see :func:`_keep`), so the result is the
-    exact argmax of the rules above.  A body with one split needs no such
-    pass: every edge of its lattice lies on that split.
+    exact argmax of :func:`segment`'s rules.  A body with one split needs
+    no such pass: every edge of its lattice lies on that split.
     """
-    tags = [_as_hashtag(h) for h in hashtags]
     trie = lexicon.trie
-    lattice = _walk([h.normalized for h in tags], trie)
+    lattice = _walk(bodies, trie)
     names = trie.words[lattice.state].tolist()  # the word of each edge
     bounds = lattice.bounds.tolist()
-    for k, (h, n) in enumerate(zip(tags, lattice.paths[lattice.starts].tolist())):
-        body = h.normalized
+    for k, (body, n) in enumerate(zip(bodies, lattice.paths[lattice.starts].tolist())):
         if body in lexicon:
-            yield SegmentResult(h, (body,), SegmentStatus.EXACT_WORD, 0.0)
+            yield (body,), SegmentStatus.EXACT_WORD, 0.0
             continue
         if not n:
-            yield SegmentResult(h, (), SegmentStatus.UNSEGMENTABLE, float("-inf"))
+            yield (), SegmentStatus.UNSEGMENTABLE, float("-inf")
             continue
         edges = slice(bounds[k], bounds[k + 1])
         words = names[edges]
         if n == 1:
             tokens = tuple(words)
-            yield SegmentResult(h, tokens, SegmentStatus.UNIQUE, score_segmentation(tokens, bigrams))
+            yield tokens, SegmentStatus.UNIQUE, score_segmentation(tokens, bigrams)
             continue
         # states[i][w]: the non-dominated (score, tokens) prefixes that cover
         # body[:i] and end in the word w.
@@ -314,9 +329,9 @@ def segment_all(hashtags, lexicon: Lexicon, bigrams: BigramModel) -> Iterator[Se
             (p for front in states[len(body)].values() for p in front), key=lambda p: (-p[0], len(p[1]), p[1])
         )
         if best_score == float("-inf"):  # all paths hit unseen bigrams under a zero floor
-            yield SegmentResult(h, (), SegmentStatus.UNSEGMENTABLE, float("-inf"))
+            yield (), SegmentStatus.UNSEGMENTABLE, float("-inf")
         else:
-            yield SegmentResult(h, best, SegmentStatus.DISAMBIGUATED, best_score)
+            yield best, SegmentStatus.DISAMBIGUATED, best_score
 
 
 @dataclass(frozen=True)
@@ -343,24 +358,17 @@ def evaluate_segmenter(golden, lexicon: Lexicon, bigrams: BigramModel) -> Evalua
 
     A case counts as correct only on an exact token-sequence match; a
     hashtag that does not normalize produces no tokens.  Every hashtag is
-    parsed first, then the valid ones are segmented in one batch.
-    Failures whose expected tokens are missing from the lexicon are
-    flagged ``lexicon_miss``: the lexical step cannot succeed there.
+    segmented in one :func:`segment_all` batch.  Failures whose expected
+    tokens are missing from the lexicon are flagged ``lexicon_miss``: the
+    lexical step cannot succeed there.
     """
     golden = [(raw, tuple(expected)) for raw, expected in golden]
     if not golden:
         raise InputError("golden set is empty")
-    tags: list[Hashtag | None] = []
-    for raw, _ in golden:
-        try:
-            tags.append(_as_hashtag(raw))
-        except InputError:
-            tags.append(None)
-    results = segment_all([tag for tag in tags if tag is not None], lexicon, bigrams)
     correct = 0
     failures: list[SegmentationFailure] = []
-    for (raw, expected), tag in zip(golden, tags):
-        produced = () if tag is None else next(results).tokens
+    for (raw, expected), result in zip(golden, segment_all([raw for raw, _ in golden], lexicon, bigrams)):
+        produced = result.tokens
         if produced == expected:
             correct += 1
         else:

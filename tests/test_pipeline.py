@@ -1,16 +1,18 @@
 """CLI subcommands, run-all chaining, caching, and atomicity."""
 
+import io
 import json
 import os
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from tagrec import artifacts
+from tagrec import artifacts, segmenter
 from tagrec.cli import main
-from tagrec.corpus import DEFAULT_FLOOR_PROB
+from tagrec.corpus import DEFAULT_FLOOR_PROB, load_bigrams, load_lexicon
 from tagrec.errors import InputError
 from tagrec.matcher import build_similarity_matrix
 from tagrec.pipeline import (
@@ -21,6 +23,7 @@ from tagrec.pipeline import (
     load_config_file,
     run_all,
 )
+from tagrec.segmenter import segment
 from tagrec.taxonomy import DEFAULT_IC_CAP, Taxonomy, load_taxonomy
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -76,6 +79,46 @@ class TestSegmentCommand:
         assert lines[1] == "#worldwide\texact_word\tworldwide"
         assert lines[2] == "#xqzv\tunsegmentable\t"
         assert lines[3] == "#tbt2015\tinvalid\t"
+
+    @pytest.mark.parametrize("from_stdin", [False, True])
+    def test_one_batch_matches_per_line_segment(self, tmp_path, monkeypatch, capsys, caplog, from_stdin):
+        golden = [line.split("\t")[0] for line in (DATA / "golden_hashtags.tsv").read_text("utf-8").splitlines()]
+        extra = ["#tbt2015", "", "   ", "  #WorldWide  ", "#", golden[0], "#tbt2015", "worldwidefestival", "#café"]
+        text = "\n".join(golden + extra) + "\n"
+        lexicon = load_lexicon(DATA / "lexicon.txt")
+        bigrams = load_bigrams(DATA / "bigrams.tsv", floor_prob=DEFAULT_FLOOR_PROB)
+        want, rejected = [], []
+        for line in text.splitlines():
+            raw = line.strip()
+            if not raw:
+                continue
+            try:
+                result = segment(raw, lexicon, bigrams)
+            except InputError:
+                rejected.append(f"rejected hashtag {raw!r}")
+                want.append(f"{raw}\tinvalid\t\n")
+                continue
+            want.append(f"{raw}\t{result.status.value}\t{' '.join(result.tokens)}\n")
+        walk = segmenter._walk
+        walks = []
+
+        def counting_walk(bodies, trie):
+            walks.append(len(bodies))
+            return walk(bodies, trie)
+
+        monkeypatch.setattr(segmenter, "_walk", counting_walk)
+        argv = ["segment", "--lexicon", str(DATA / "lexicon.txt"), "--bigrams", str(DATA / "bigrams.tsv")]
+        if from_stdin:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        else:
+            infile = tmp_path / "tags.txt"
+            infile.write_text(text, encoding="utf-8")
+            argv += ["--in", str(infile)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "".join(want)
+        assert len(walks) == 1
+        assert [r.getMessage() for r in caplog.records if r.name == "tagrec"] == rejected
+        assert len(rejected) == 4
 
 
 class TestEvaluateCommand:

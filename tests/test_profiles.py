@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from tagrec import profiles
+from tagrec import segmenter
 from tagrec.errors import InputError, ParseError, ResourceError
 from tagrec.profiles import build_profile, build_profiles, ingest_profiles
 from tagrec.segmenter import Hashtag, segment
@@ -99,57 +99,51 @@ class TestBuildProfiles:
         assert profiles[1].words == frozenset()
 
     def test_segments_each_distinct_body_once(self, worked_lexicon, worked_bigrams, monkeypatch):
-        # Patched where build_profiles looks it up.
-        segment_all = profiles.segment_all
+        walk = segmenter._walk
         calls = []
 
-        def counting_segment(hashtags, *args):
-            hashtags = list(hashtags)
-            calls.append([h.normalized for h in hashtags])
-            return segment_all(hashtags, *args)
+        def counting_walk(bodies, trie):
+            calls.append(list(bodies))
+            return walk(bodies, trie)
 
         pairs = [
             ("u1", ["#WorldWideFestival", "#xqzv", "#tbt2015"]),
             ("u2", ["worldwidefestival", "#worldwide", "#xqzv"]),
             ("u3", ["#worldwidefestival", "#XQZV", "#throwbackthursday"]),
         ]
-        monkeypatch.setattr(profiles, "segment_all", counting_segment)
+        monkeypatch.setattr(segmenter, "_walk", counting_walk)
         batch = build_profiles(pairs, worked_lexicon, worked_bigrams)
-        # one batch, each distinct body once, in order of first appearance
+        # one walk, each distinct body once, in order of first appearance
         assert calls == [["worldwidefestival", "xqzv", "worldwide", "throwbackthursday"]]
         assert batch == [build_profile(user_id, tags, worked_lexicon, worked_bigrams) for user_id, tags in pairs]
         assert [p.n_unsegmentable for p in batch] == [1, 1, 1]
         assert [p.n_invalid for p in batch] == [1, 0, 0]
 
     def test_parses_each_distinct_raw_hashtag_once(self, worked_lexicon, worked_bigrams, monkeypatch, caplog):
-        parse = Hashtag.parse.__func__
+        normalize, walk = segmenter._normalize, segmenter._walk
         parsed = []
-        segmented = []
-        segment_all = profiles.segment_all
+        walked = []
 
-        def counting_parse(cls, raw):
+        def counting_normalize(raw):
             parsed.append(raw)
-            return parse(cls, raw)
+            return normalize(raw)
 
-        def counting_segment(hashtags, *args):
-            hashtags = list(hashtags)
-            segmented.append(hashtags)
-            return segment_all(hashtags, *args)
+        def counting_walk(bodies, trie):
+            walked.append(list(bodies))
+            return walk(bodies, trie)
 
         pairs = [
             ("u1", ["#Foo", "#tbt2015", "#xqzv", "#tbt2015", "#xqzv", "#Foo"]),
             ("u2", ["#foo", "foo", "#tbt2015", "#xqzv", "#worldwide"]),
             ("u3", ["#worldwide", "#Foo", "#xqzv"]),
         ]
-        monkeypatch.setattr(Hashtag, "parse", classmethod(counting_parse))
-        monkeypatch.setattr(profiles, "segment_all", counting_segment)
+        monkeypatch.setattr(segmenter, "_normalize", counting_normalize)
+        monkeypatch.setattr(segmenter, "_walk", counting_walk)
         caplog.set_level(logging.INFO, logger="tagrec.profiles")
         batch = build_profiles(pairs, worked_lexicon, worked_bigrams)
         assert sorted(parsed) == sorted({raw for _, tags in pairs for raw in tags})
-        # "#Foo", "#foo" and "foo" share the body "foo", segmented once in the one batch
-        (hashtags,) = segmented
-        assert [h.normalized for h in hashtags] == ["foo", "xqzv", "worldwide"]
-        assert [h.raw for h in hashtags] == ["#Foo", "#xqzv", "#worldwide"]
+        # "#Foo", "#foo" and "foo" share the body "foo", walked once; "#tbt2015" is not walked
+        assert walked == [["foo", "xqzv", "worldwide"]]
         assert [p.n_invalid for p in batch] == [2, 1, 0]
         assert [p.n_unsegmentable for p in batch] == [4, 3, 2]
         assert [p.words for p in batch] == [frozenset(), {"worldwide"}, {"worldwide"}]

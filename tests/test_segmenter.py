@@ -12,8 +12,8 @@ from tagrec.errors import InputError
 from tagrec.segmenter import (
     Hashtag,
     SegmentationFailure,
+    SegmentResult,
     SegmentStatus,
-    _lattice,
     _walk,
     enumerate_segmentations,
     evaluate_segmenter,
@@ -277,7 +277,14 @@ def splits_of(body, lexicon):
 
 
 def lattice_oracle(body, lexicon):
-    """``(words, paths)`` as :func:`_lattice` defines them, by brute force."""
+    """``(words, paths, reached)`` of ``body``, by brute force.
+
+    ``reached[i]`` tells whether a split of ``body[:i]`` into lexicon words
+    reaches ``i``.  At those positions ``words[i]`` lists the lexicon words
+    that start at ``i`` and after which the rest of the body still splits,
+    in order of length, and ``paths[i]`` counts the splits of ``body[i:]``,
+    capped at 2; at every other position they are ``[]`` and 0.
+    """
     n = len(body)
     reached = [i == 0 or bool(splits_of(body[:i], lexicon)) for i in range(n + 1)]
     words = [[] for _ in range(n)]
@@ -289,6 +296,21 @@ def lattice_oracle(body, lexicon):
             words[i] = [body[i:j] for j in ends if body[i:j] in lexicon and (j == n or splits_of(body[j:], lexicon))]
             paths[i] = min(2, len(splits_of(body[i:], lexicon)))
     return words, paths, reached
+
+
+def lattice_of(bodies, lexicon):
+    """Each body's ``(words, paths)`` from one :func:`_walk`, laid out as in :func:`lattice_oracle`."""
+    trie = lexicon.trie
+    lattice = _walk(bodies, trie)
+    views = []
+    for k, body in enumerate(bodies):
+        start = int(lattice.starts[k])
+        edges = slice(lattice.bounds[k], lattice.bounds[k + 1])
+        words = [[] for _ in body]
+        for i, state in zip(lattice.origin[edges].tolist(), lattice.state[edges].tolist()):
+            words[i - start].append(trie.words[state])
+        views.append((words, lattice.paths[start : start + len(body) + 1].tolist()))
+    return views
 
 
 class TestLattice:
@@ -305,7 +327,7 @@ class TestLattice:
         lx = lex(*self.VOCAB)
         seen = {"unsegmentable": 0, "dead_end": 0, "unreached": 0, "several": 0}
         for body in self.bodies():
-            words, paths = _lattice(body, lx)
+            [(words, paths)] = lattice_of([body], lx)
             want_words, want_paths, reached = lattice_oracle(body, lx)
             assert (words, paths) == (want_words, want_paths), body
             seen["unsegmentable"] += not paths[0]
@@ -352,27 +374,27 @@ class TestBatch:
         assert [r.hashtag for r in results] == tags
         for tag, result in zip(tags, results):
             body = tag.normalized
+            if not body:
+                assert result == SegmentResult(tag, (), SegmentStatus.INVALID, float("-inf"))
+                with pytest.raises(InputError):
+                    segment(tag, lexicon, model)
+                continue
             assert (result.tokens, result.status) == documented_rule(body, lexicon, model), body
             if result.status in (SegmentStatus.UNIQUE, SegmentStatus.DISAMBIGUATED):
                 assert result.log_score == score_segmentation(result.tokens, model), body
             assert result == segment(tag, lexicon, model)  # a batch of one
         lattice = _walk(bodies, lexicon.trie)
-        for k, body in enumerate(bodies):
-            start = int(lattice.starts[k])
+        walked = lattice.walked.tolist()
+        for body, view, start in zip(bodies, lattice_of(bodies, lexicon), lattice.starts.tolist()):
             words, paths, reached = lattice_oracle(body, lexicon)
-            assert lattice.paths[start : start + len(body) + 1].tolist() == paths, body
-            assert lattice.walked[start : start + len(body) + 1].tolist() == reached, body
-            edges = slice(lattice.bounds[k], lattice.bounds[k + 1])
-            got = [[] for _ in body]
-            for i, state in zip(lattice.origin[edges].tolist(), lattice.state[edges].tolist()):
-                got[i - start].append(lexicon.trie.words[state])
-            assert got == words, body
+            assert view == (words, paths), body
+            assert walked[start : start + len(body) + 1] == reached, body
         return results
 
     @pytest.mark.parametrize("floor", [1e-9, 0.0])
     def test_matches_the_oracles_over_many_bodies(self, floor):
         lx = lex(*self.VOCAB)
-        results = self.check(TestLattice().bodies(), lx, floor)
+        results = self.check(TestLattice().bodies() + [""], lx, floor)  # "" is invalid
         assert {r.status for r in results} == set(SegmentStatus)
 
     @pytest.mark.parametrize("floor", [1e-9, 0.0])
@@ -392,7 +414,7 @@ class TestBatch:
     def test_path_counts_cap_at_two_past_many_words(self):
         # 70 words start at each position of "a" * 70, most with 2 splits onward
         lx = lex(*("a" * n for n in range(1, 71)))
-        words, paths = _lattice("a" * 70, lx)
+        [(words, paths)] = lattice_of(["a" * 70], lx)
         assert [len(w) for w in words] == list(range(70, 0, -1))
         assert paths == [2] * 69 + [1, 1]
 
@@ -405,6 +427,43 @@ class TestBatch:
         ]
         lattice = _walk(["ab", "c"], lx.trie)
         assert lattice.state.size == 1 and lx.trie.words[lattice.state[0]] == "ab"
+
+    def test_invalid_inputs_get_a_result_in_place(self, worked_lexicon, worked_bigrams, monkeypatch):
+        # one batch of raw strings and Hashtags: two raws that do not
+        # normalize, an empty body, and bodies that recur
+        empty = Hashtag(raw="#worldwide", normalized="")
+        hashtags = [
+            "#WorldWideFestival",
+            "#tbt2015",
+            empty,
+            "worldwidefestival",
+            "#xqzv",
+            "#",
+            Hashtag(raw="#WW", normalized="worldwide"),
+            " #WorldWide ",
+        ]
+        invalid = {1: Hashtag("#tbt2015", ""), 2: empty, 5: Hashtag("#", "")}
+        walked = []
+        walk = segmenter._walk
+
+        def counting_walk(bodies, trie):
+            walked.append(list(bodies))
+            return walk(bodies, trie)
+
+        monkeypatch.setattr(segmenter, "_walk", counting_walk)
+        results = list(segment_all(hashtags, worked_lexicon, worked_bigrams))
+        # one walk, each distinct body once in order of first appearance
+        assert walked == [["worldwidefestival", "xqzv", "worldwide"]]
+        assert len(results) == len(hashtags)
+        for k, (hashtag, result) in enumerate(zip(hashtags, results)):
+            if k in invalid:
+                assert result == SegmentResult(invalid[k], (), SegmentStatus.INVALID, float("-inf"))
+                with pytest.raises(InputError):
+                    segment(hashtag, worked_lexicon, worked_bigrams)
+            else:
+                assert result == segment(hashtag, worked_lexicon, worked_bigrams), hashtag
+        statuses = ["disambiguated", "invalid", "invalid", "disambiguated", "unsegmentable", "invalid"]
+        assert [r.status.value for r in results] == statuses + ["exact_word", "exact_word"]
 
     @pytest.mark.parametrize("floor", [1e-9, 0.0])
     def test_bodies_outside_a_to_z(self, floor):
@@ -466,12 +525,12 @@ class TestEvaluate:
         segment_all = segmenter.segment_all
 
         def counting(hashtags, *args):
-            batches.append([h.raw for h in hashtags])
+            batches.append(list(hashtags))
             return segment_all(hashtags, *args)
 
         monkeypatch.setattr(segmenter, "segment_all", counting)
         report = evaluate_segmenter(iter(golden), worked_lexicon, worked_bigrams)
-        assert batches == [[raw for raw, _ in golden if raw not in ("#tbt2015", "#")]]
+        assert batches == [[raw for raw, _ in golden]]
         assert report.failures == tuple(expected)
         assert (report.total, report.correct) == (7, 7 - len(expected))
         assert [f.hashtag for f in report.failures] == ["#tbt2015", "#throwbackthursday", "#unknownzz", "#worldwidefestival"]
