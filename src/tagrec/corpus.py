@@ -12,6 +12,8 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -60,8 +62,10 @@ class Trie:
     parent's.  ``depth[s]`` is the length of the prefix state ``s``
     spells; ``is_word[s]`` flags the states that spell a whole word, and
     ``words[s]`` (an object array) is that word, the lexicon's own string,
-    else None.  Words with a character outside a-z are left out: no body
-    that :meth:`tagrec.segmenter.Hashtag.parse` gives can hold one.
+    else None.  Word states are numbered in sorted word order, so ordering
+    words by state orders them as strings.  Words with a character outside
+    a-z are left out: no body that :meth:`tagrec.segmenter.Hashtag.parse`
+    gives can hold one.
     """
 
     table: np.ndarray
@@ -104,6 +108,12 @@ class Trie:
             words=spelling,
         )
 
+    @cached_property
+    def state_of(self) -> dict[str, int]:
+        """The state that spells each word; built on first use, then kept."""
+        states = np.flatnonzero(self.is_word)
+        return dict(zip(self.words[states].tolist(), states.tolist()))
+
 
 class BigramModel:
     """Joint bigram probabilities: count(w1, w2) / total over all pairs.
@@ -133,6 +143,11 @@ class BigramModel:
     def log_probability(self, w1: str, w2: str) -> float:
         """``log(probability(w1, w2))``, and -inf where that is 0."""
         return self._log_probs.get((w1, w2), self._log_floor)
+
+    def log_probabilities(self) -> tuple[Mapping[tuple[str, str], float], float]:
+        """:meth:`log_probability`'s answers: a read-only map of those for
+        the seen pairs, and the one for every other pair."""
+        return MappingProxyType(self._log_probs), self._log_floor
 
     def __len__(self) -> int:
         return len(self.counts)

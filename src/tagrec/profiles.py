@@ -2,12 +2,16 @@
 
 :func:`build_profiles` works in three flat phases over all users at once:
 
-1. collect the distinct raw hashtags, in order of first appearance;
-2. segment them in one :func:`segment_all` batch, which parses each once
-   and segments each distinct body once, giving each raw hashtag its
-   tokens: ``()`` when its body has no split, ``None`` when it does not
-   normalize (an ``invalid`` result);
-3. build each :class:`Profile` from those tokens.
+1. collect the distinct raw hashtags, in order of first appearance, and
+   give every hashtag its index among them;
+2. segment them in one batch (the segmenter's columnar entry, which
+   parses each once and segments each distinct body once), giving each
+   raw hashtag its body, or -1 when it does not normalize (``invalid``),
+   and each body its tokens as trie word states;
+3. build every :class:`Profile` from those columns: the counts of invalid
+   and unsegmentable (no tokens) hashtags per user come from
+   ``np.bincount``, and the words from one sort of the (user, word
+   state) pairs of all tokens, so no per-hashtag result object is made.
 
 :func:`build_profile` is a batch of one.
 """
@@ -16,11 +20,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
+
+import numpy as np
 
 from tagrec.corpus import BigramModel, Lexicon
 from tagrec.errors import ParseError
-from tagrec.segmenter import SegmentStatus, segment_all
+from tagrec.segmenter import _firsts, _ranges, _segment_columns
 from tagrec.segmenter import segment  # noqa: F401  pipebench/spans.py wraps profiles.segment
 from tagrec.tsv import read_rows
 
@@ -77,36 +83,47 @@ def build_profiles(pairs, lexicon: Lexicon, bigrams: BigramModel) -> list[Profil
     contributed no words.
     """
     pairs = [(user_id, tuple(hashtags)) for user_id, hashtags in pairs]
-    # 1. the distinct raw hashtags, in order of first appearance; phase 2
-    # maps each to its tokens, () when its body has no split, and leaves
-    # None on one that does not normalize
-    tokens_of: dict[str, tuple[str, ...] | None] = dict.fromkeys(
-        chain.from_iterable(hashtags for _, hashtags in pairs)
-    )
-    # 2. segment every distinct raw hashtag in one batch
-    bodies: set[str] = set()
-    for raw, result in zip(tokens_of, segment_all(tokens_of, lexicon, bigrams)):
-        if result.status is not SegmentStatus.INVALID:
-            tokens_of[raw] = result.tokens
-            bodies.add(result.hashtag.normalized)
-    # 3. the profiles
-    built = []
-    for user_id, hashtags in pairs:
-        found = [tokens_of[raw] for raw in hashtags]
-        built.append(
-            Profile(
-                id=user_id,
-                hashtags=hashtags,
-                words=frozenset(chain.from_iterable(filter(None, found))),
-                n_unsegmentable=found.count(()),
-                n_invalid=found.count(None),
-            )
+    # 1. the distinct raw hashtags, in order of first appearance, and the
+    # index among them of every hashtag
+    tags = list(chain.from_iterable(hashtags for _, hashtags in pairs))
+    index = dict(zip(dict.fromkeys(tags), count()))
+    raw = np.fromiter(map(index.__getitem__, tags), np.intp, len(tags))
+    # 2. segment them in one batch: each hashtag's body, -1 if invalid
+    segmented = _segment_columns(index, lexicon, bigrams)
+    body = segmented.body_of[raw]
+    # 3. the profiles, from every hashtag's user, body and tokens
+    user = np.repeat(np.arange(len(pairs), dtype=np.int64), [len(hashtags) for _, hashtags in pairs])
+    valid = body >= 0
+    n_invalid = np.bincount(user[~valid], minlength=len(pairs))
+    user, body = user[valid], body[valid]
+    tokens = np.diff(segmented.bounds)[body]
+    n_unsegmentable = np.bincount(user[tokens == 0], minlength=len(pairs))
+    # every token as user << 32 | word state, sorted and deduplicated in
+    # place: np.unique would first build a hash table of them all
+    words = np.repeat(user, tokens)
+    words <<= 32
+    words |= segmented.tokens[_ranges(segmented.bounds[body], tokens)]
+    words.sort()
+    words = words[_firsts(words)]
+    cuts = np.searchsorted(words >> 32, np.arange(len(pairs) + 1)).tolist()
+    names = lexicon.trie.words[words & 0xFFFFFFFF].tolist()
+    built = [
+        Profile(
+            id=user_id,
+            hashtags=hashtags,
+            words=frozenset(names[a:b]),
+            n_unsegmentable=unsegmentable,
+            n_invalid=invalid,
         )
+        for (user_id, hashtags), a, b, unsegmentable, invalid in zip(
+            pairs, cuts, cuts[1:], n_unsegmentable.tolist(), n_invalid.tolist()
+        )
+    ]
     logger.info(
         "profiles: %d hashtags, %d distinct raw hashtags, %d distinct bodies, %d hashtags contributed no words",
-        sum(len(hashtags) for _, hashtags in pairs),
-        len(tokens_of),
-        len(bodies),
-        sum(p.n_unsegmentable + p.n_invalid for p in built),
+        raw.size,
+        len(index),
+        len(segmented.bodies),
+        int(n_invalid.sum() + n_unsegmentable.sum()),
     )
     return built

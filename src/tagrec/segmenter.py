@@ -7,17 +7,20 @@ both steps.  :func:`segment_all` segments a batch of hashtags at once:
 one walk of the lexicon's character trie (:attr:`Lexicon.trie`) finds
 the lattice of lexicon words of every body in lock-step, round r starting
 a walk at every position that a split of r words reaches, in the manner
-of Aho and Corasick's many-pattern matcher (1975).  Where one split
-exists its words are read off the lattice; where several do, a Viterbi
-dynamic program over the lattice (Norvig, "Natural Language Corpus
-Data", *Beautiful Data*, 2009) finds the winner without listing the
-splits.  :func:`segment_all` is also the one place that parses raw
-hashtags: an input that does not normalize gets an ``invalid`` result
-in its place instead of ending the batch, and since a result depends on
-the body alone, each distinct body is walked and segmented once however
-often it occurs.  :func:`segment` is a batch of one that raises on an
-invalid input, and :func:`enumerate_segmentations` lists the splits, up
-to a cap, for inspection and for tests.
+of Aho and Corasick's many-pattern matcher (1975).  The whole batch is
+then scored in numpy, as columns of statuses, scores and trie word
+states (:func:`_segment_columns`).  Where one split exists its words are
+read off the lattice and scored for all such bodies together; where
+several do, a Viterbi dynamic program over the lattice (Norvig, "Natural
+Language Corpus Data", *Beautiful Data*, 2009) finds the winner without
+listing the splits, in rounds by token count over all those bodies at
+once (:func:`_disambiguate`).  :func:`segment_all` is also the one place
+that parses raw hashtags: an input that does not normalize gets an
+``invalid`` result in its place instead of ending the batch, and since a
+result depends on the body alone, each distinct body is walked and
+segmented once however often it occurs.  :func:`segment` is a batch of
+one that raises on an invalid input, and :func:`enumerate_segmentations`
+lists the splits, up to a cap, for inspection and for tests.
 """
 
 from __future__ import annotations
@@ -25,11 +28,12 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, repeat
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from tagrec.corpus import _WORD_RE, DEAD, DEAD_COLUMN, ROOT, BigramModel, Lexicon, Trie
+from tagrec.corpus import DEAD, DEAD_COLUMN, ROOT, BigramModel, Lexicon, Trie
 from tagrec.errors import InputError
 from tagrec.tsv import read_rows
 
@@ -47,7 +51,7 @@ class SegmentStatus(Enum):
 def _normalize(raw: str) -> str:
     """The letters-only body of a raw hashtag, or ``""`` if it has none."""
     body = raw.strip().removeprefix("#").lower()
-    return body if _WORD_RE.fullmatch(body) else ""
+    return body if body.isascii() and body.isalpha() else ""
 
 
 def _invalid(raw: str) -> InputError:
@@ -163,9 +167,7 @@ def _walk(bodies: list[str], trie: Trie) -> _Lattice:
         if not at.size:
             continue
         here = origin[at]
-        head = np.ones(at.size, bool)  # where each origin's words begin
-        np.not_equal(here[1:], here[:-1], out=head[1:])
-        heads = head.nonzero()[0]
+        heads = _firsts(here).nonzero()[0]  # where each origin's words begin
         paths[here[heads]] = np.minimum(np.add.reduceat(paths[end[at]], heads, dtype=np.intp), 2)
     keep = paths[end] > 0
     origin, state = origin[keep], state[keep]
@@ -186,11 +188,16 @@ def enumerate_segmentations(
 
     Returns ``(segmentations, truncated)``.  Segmentations are ordered by
     token count, then lexicographically, and at most ``max_candidates``
-    are returned; ``truncated`` reports whether more existed.
+    are returned; ``truncated`` reports whether more existed.  A hashtag
+    that does not normalize, or a :class:`Hashtag` with an empty body,
+    raises :class:`InputError`, as in :func:`segment`.
     """
     if max_candidates < 1:
         raise InputError(f"max_candidates must be positive, got {max_candidates}")
-    body = (hashtag if isinstance(hashtag, Hashtag) else Hashtag.parse(hashtag)).normalized
+    tag = hashtag if isinstance(hashtag, Hashtag) else Hashtag.parse(hashtag)
+    if not tag.normalized:
+        raise _invalid(tag.raw)
+    body = tag.normalized
     length = len(body)
     trie = lexicon.trie
     lattice = _walk([body], trie)
@@ -226,23 +233,6 @@ def score_segmentation(tokens, bigrams: BigramModel) -> float:
     return total
 
 
-def _keep(front: list[tuple[float, tuple[str, ...]]], score: float, tokens: tuple[str, ...]) -> None:
-    """Add a prefix to ``front`` unless another prefix there dominates it.
-
-    A prefix dominates another at the same (end, last word) state when its
-    score is at least as high and its (token count, tokens) key is smaller.
-    Every extension adds the same terms to both scores in the same order,
-    and float addition is monotone, so a dominated prefix can never become
-    the winning split; a prefix with a lower score but a smaller key can,
-    when the extended scores round to a tie.
-    """
-    key = (len(tokens), tokens)
-    if any(s >= score and (len(t), t) < key for s, t in front):
-        return
-    front[:] = [(s, t) for s, t in front if not (score >= s and key < (len(t), t))]
-    front.append((score, tokens))
-
-
 def segment(hashtag: Hashtag | str, lexicon: Lexicon, bigrams: BigramModel) -> SegmentResult:
     """Split a hashtag into its most probable sequence of lexicon words.
 
@@ -273,65 +263,238 @@ def segment_all(hashtags, lexicon: Lexicon, bigrams: BigramModel) -> Iterator[Se
     values.  A raw string that does not normalize, and a ``Hashtag`` with
     an empty body, give an ``invalid`` result in their place: no tokens,
     a log score of -inf and ``Hashtag(raw, "")``.  Every input is parsed,
-    and one :func:`_walk` finds the lattice of each distinct non-empty
-    body, in order of first appearance, before the first result; each
-    body is segmented once, and the results are yielded one per input.
+    and one :func:`_segment_columns` call segments each distinct
+    non-empty body once, before the first result; the results are
+    yielded one per input.
     """
     tags = [h if isinstance(h, Hashtag) else Hashtag(h, _normalize(h)) for h in hashtags]
-    bodies = list(dict.fromkeys(h.normalized for h in tags if h.normalized))
-    segmented = dict(zip(bodies, _segment_bodies(bodies, lexicon, bigrams)))
-    segmented[""] = (), SegmentStatus.INVALID, float("-inf")  # the body of every invalid input
-    for h in tags:
-        yield SegmentResult(h, *segmented[h.normalized])
+    segmented = _segment_columns(tags, lexicon, bigrams)
+    names = lexicon.trie.words[segmented.tokens].tolist()
+    bounds = segmented.bounds.tolist()
+    results = [
+        ((body,) if code == _EXACT else tuple(names[a:b]), _STATUSES[code], score)
+        for body, code, score, a, b in zip(
+            segmented.bodies, segmented.status.tolist(), segmented.score.tolist(), bounds, bounds[1:]
+        )
+    ]
+    results.append(((), SegmentStatus.INVALID, float("-inf")))  # results[-1], for body_of's -1
+    for tag, k in zip(tags, segmented.body_of.tolist()):
+        yield SegmentResult(tag, *results[k])
 
 
-def _segment_bodies(bodies: list[str], lexicon: Lexicon, bigrams: BigramModel):
-    """Yield ``(tokens, status, log_score)`` for each body, in order.
+# A body's status, by its code in _Segmented.status.
+_STATUSES = (SegmentStatus.EXACT_WORD, SegmentStatus.UNIQUE, SegmentStatus.DISAMBIGUATED, SegmentStatus.UNSEGMENTABLE)
+_EXACT, _UNIQUE, _DISAMBIGUATED, _UNSEGMENTABLE = range(len(_STATUSES))
 
-    Every split is considered, without enumerating them: a Viterbi pass
-    runs left to right over (end position, last word) states of the
-    lexicon lattice, where the score of a path is the left-to-right sum
-    :func:`score_segmentation` computes.  Each state keeps the prefixes no
-    other prefix there dominates (see :func:`_keep`), so the result is the
-    exact argmax of :func:`segment`'s rules.  A body with one split needs
-    no such pass: every edge of its lattice lies on that split.
+
+class _Segmented(NamedTuple):
+    """A batch of hashtags segmented, as columns, from :func:`_segment_columns`.
+
+    ``bodies`` are the distinct non-empty bodies, in order of first
+    appearance, and ``body_of[i]`` is input i's index among them, or -1
+    where the input is invalid.  Body k has the status
+    ``_STATUSES[status[k]]``, the log score ``score[k]`` and the tokens
+    ``tokens[bounds[k]:bounds[k + 1]]``, as int32 trie word states.  An
+    exact word outside a-z, which only a :class:`Hashtag` and a
+    :class:`Lexicon` built directly can hold, has no trie state and so no
+    token here.
     """
+
+    bodies: list[str]
+    body_of: np.ndarray
+    status: np.ndarray
+    score: np.ndarray
+    tokens: np.ndarray
+    bounds: np.ndarray
+
+
+def _segment_columns(hashtags, lexicon: Lexicon, bigrams: BigramModel) -> _Segmented:
+    """Segment every hashtag by the rules of :func:`segment`, as columns.
+
+    ``hashtags`` holds raw strings, parsed here, and :class:`Hashtag`
+    values.  One :func:`_walk` finds the lattice of each distinct
+    non-empty body.  An exact word's token is the lattice edge that spans
+    it.  A body with one split needs no search, since every edge of its
+    lattice lies on that split: its tokens are its edges, and the scores
+    of all such bodies are summed together a word at a time, ``((0.0 +
+    lp1) + lp2) + ...``, the same additions :func:`score_segmentation`
+    makes.  The bodies with several splits go to :func:`_disambiguate`.
+    """
+    normalized = [h.normalized if isinstance(h, Hashtag) else _normalize(h) for h in hashtags]
+    bodies = list(dict.fromkeys(filter(None, normalized)))
+    index = dict(zip(bodies, range(len(bodies))))
+    body_of = np.fromiter(map(index.get, normalized, repeat(-1)), np.intp, len(normalized))
     trie = lexicon.trie
     lattice = _walk(bodies, trie)
-    names = trie.words[lattice.state].tolist()  # the word of each edge
-    bounds = lattice.bounds.tolist()
-    for k, (body, n) in enumerate(zip(bodies, lattice.paths[lattice.starts].tolist())):
-        if body in lexicon:
-            yield (body,), SegmentStatus.EXACT_WORD, 0.0
-            continue
-        if not n:
-            yield (), SegmentStatus.UNSEGMENTABLE, float("-inf")
-            continue
-        edges = slice(bounds[k], bounds[k + 1])
-        words = names[edges]
-        if n == 1:
-            tokens = tuple(words)
-            yield tokens, SegmentStatus.UNIQUE, score_segmentation(tokens, bigrams)
-            continue
-        # states[i][w]: the non-dominated (score, tokens) prefixes that cover
-        # body[:i] and end in the word w.
-        states: dict[int, dict[str, list[tuple[float, tuple[str, ...]]]]] = {}
-        for pos, w in zip((lattice.origin[edges] - lattice.starts[k]).tolist(), words):
-            front = states.setdefault(pos + len(w), {}).setdefault(w, [])
-            if not pos:
-                front.append((0.0, (w,)))
-                continue
-            for prev, prefixes in states[pos].items():
-                step = bigrams.log_probability(prev, w)
-                for score, tokens in prefixes:
-                    _keep(front, score + step, tokens + (w,))
-        best_score, best = min(
-            (p for front in states[len(body)].values() for p in front), key=lambda p: (-p[0], len(p[1]), p[1])
-        )
-        if best_score == float("-inf"):  # all paths hit unseen bigrams under a zero floor
-            yield (), SegmentStatus.UNSEGMENTABLE, float("-inf")
-        else:
-            yield best, SegmentStatus.DISAMBIGUATED, best_score
+    log_prob = _bigram_log_probs(trie, bigrams)
+    lengths = np.fromiter(map(len, bodies), np.int32, len(bodies))
+    status = np.array([_UNSEGMENTABLE, _UNIQUE, _DISAMBIGUATED], np.int8)[lattice.paths[lattice.starts]]
+    status[np.fromiter(map(lexicon.words.__contains__, bodies), bool, len(bodies))] = _EXACT
+    per_body = np.diff(lattice.bounds)
+    body = np.repeat(np.arange(len(bodies), dtype=np.int32), per_body)  # the body of each edge
+    origin, state = lattice.origin, lattice.state
+    unique = status == _UNIQUE
+    spans = (origin == lattice.starts[body]) & (trie.depth[state] == lengths[body])
+    token = spans | unique[body]  # the edges that are tokens of exact and unique bodies
+    n_tokens = np.bincount(body[token], minlength=len(bodies))
+    score = np.where(status == _EXACT, 0.0, -np.inf)
+
+    words = state[unique[body]]  # every unique body's tokens, laid end to end
+    steps = log_prob(words[:-1], words[1:])  # steps[i]: from word i to word i + 1
+    length = per_body[unique]
+    first = np.cumsum(length) - length
+    total = np.zeros(length.size)
+    for j in range(1, int(length.max(initial=0))):
+        at = np.flatnonzero(length > j)
+        total[at] += steps[first[at] + j - 1]
+    score[unique] = total
+
+    several = status == _DISAMBIGUATED
+    edges = several[body]
+    local = np.cumsum(several) - 1  # each body's index among those with several splits
+    starts = lattice.starts[several]
+    best, won, chosen = _disambiguate(
+        origin[edges], state[edges], local[body[edges]], starts, starts + lengths[several], trie.depth, log_prob
+    )
+    score[several] = best
+    n_tokens[several] = won
+    status[np.flatnonzero(several)[won == 0]] = _UNSEGMENTABLE
+    bounds = np.zeros(len(bodies) + 1, np.intp)
+    np.cumsum(n_tokens, out=bounds[1:])
+    tokens = np.empty(bounds[-1], np.int32)
+    chose = np.repeat(several, n_tokens)
+    tokens[chose] = chosen
+    tokens[~chose] = state[token]
+    return _Segmented(bodies, body_of, status, score, tokens, bounds)
+
+
+def _disambiguate(origin, state, body, starts, ends, depth, log_prob):
+    """The winning split of every body with several, by a Viterbi in rounds.
+
+    ``origin`` and ``state`` are those bodies' lattice edges, in
+    :func:`_walk`'s order, ``body`` gives each edge's body, and body k
+    spans ``starts[k]`` up to ``ends[k]``.  Returns each body's winning
+    score and token count, and the winners' tokens laid end to end in
+    body order; a body none of whose splits scores above -inf gets -inf
+    and no tokens.
+
+    A state of the Viterbi, an (end, last word) pair, is an edge.  Round t
+    holds the t-token prefixes of all bodies as (edge, parent, score)
+    rows, the edge being the last word's, in rank order: by the parent's
+    rank, then by the word's state.  The words that can follow one parent
+    all start at its end, and word states are numbered in sorted word
+    order, so the ranks order the rows' tokens as strings, and each edge
+    sees its rows in (token count, tokens) order, round after round.
+
+    A row dominates a later row at its edge when its score is at least as
+    high: from there both get the same terms added in the same order, and
+    float addition is monotone, so the later row can never win.  A row is
+    kept only if its score is strictly above that of every earlier row at
+    its edge: the rows of earlier rounds (``best_at``), then those before
+    it in its own round.  Dominance is transitive, so comparing with every
+    earlier row, kept or not, is comparing with the kept ones, and the
+    rows kept are exactly those that no other row dominates.  A row with a
+    lower score but a smaller key must be kept: extended, the two scores
+    can round to a tie, which the smaller key wins.  A row scoring -inf is
+    dropped as well; it leads only to splits scoring -inf, which are
+    ``unsegmentable``.
+
+    The winner is the highest-scoring row to reach its body's end, ties
+    going to the earlier round, then to the smaller rank: fewer tokens,
+    then token order, as :func:`segment`'s rules say.  Each round keeps
+    only its (edge, parent) rows, for one backtrack of all winners at the
+    end.
+    """
+    edges = origin.size
+    end = origin + depth[state]
+    next_lo = np.searchsorted(origin, end)  # the edges that can follow edge i: next_count[i] from next_lo[i]
+    next_count = np.searchsorted(origin, end, "right") - next_lo
+    final = end == ends[body]
+    best_at = np.full(edges, -np.inf)  # the highest score kept at each edge so far
+    best = np.full(starts.size, -np.inf)
+    won = np.zeros(starts.size, np.intp)  # the round of each body's winner, 0 while it has none
+    won_at = np.zeros(starts.size, np.intp)  # the winner's row in that round
+    rounds: list[tuple[np.ndarray, np.ndarray]] = []  # each round's (edge, parent) rows
+    edge = np.flatnonzero(origin == starts[body]).astype(np.int32)
+    parent = np.full(edge.size, -1, np.int32)
+    score = np.zeros(edge.size)
+    while edge.size:
+        keep = score > best_at[edge]
+        edge, parent, score = edge[keep], parent[keep], score[keep]
+        # Each edge's rows by descending score, ties in rank order; a row is
+        # kept if every row before it there has a larger rank.  The key falls
+        # from edge to edge, so its running minimum never crosses an edge.
+        order = np.lexsort((-score, edge))
+        key = (edges - edge[order].astype(np.int64)) * edge.size + order
+        kept = np.empty(edge.size, bool)
+        kept[order] = np.minimum.accumulate(key) == key
+        head = order[_firsts(edge[order])]  # each edge's highest row
+        best_at[edge[head]] = score[head]
+        edge, parent, score = edge[kept], parent[kept], score[kept]
+        rounds.append((edge, parent))
+        done = np.flatnonzero(final[edge])
+        if done.size:
+            # each body's best complete row of this round, ties in rank order
+            done = done[np.lexsort((-score[done], body[edge[done]]))]
+            done = done[_firsts(body[edge[done]])]
+            done = done[score[done] > best[body[edge[done]]]]
+            best[body[edge[done]]] = score[done]
+            won[body[edge[done]]] = len(rounds)
+            won_at[body[edge[done]]] = done
+        count = next_count[edge]
+        parent = np.repeat(np.arange(edge.size, dtype=np.int32), count)
+        child = _ranges(next_lo[edge], count).astype(np.int32)
+        score = score[parent] + log_prob(state[edge[parent]], state[child])
+        edge = child
+    tokens = np.empty(won.sum(), np.int32)
+    row = at = np.zeros(0, np.intp)
+    offset = np.cumsum(won) - won
+    for t in range(len(rounds), 0, -1):  # backtrack all winners at once, last tokens first
+        new = np.flatnonzero(won == t)
+        row, at = np.concatenate((row, won_at[new])), np.concatenate((at, offset[new] + t - 1))
+        edge, parent = rounds[t - 1]
+        tokens[at] = state[edge[row]]
+        row, at = parent[row], at - 1
+    return best, won, tokens
+
+
+def _firsts(values: np.ndarray) -> np.ndarray:
+    """A mask of the first value of each run of equal values."""
+    first = np.ones(values.size, bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return first
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``starts[i] + j`` for each ``j < counts[i]``, for each ``i`` in order."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - (ends - counts), counts)
+
+
+def _bigram_log_probs(trie: Trie, bigrams: BigramModel):
+    """:meth:`BigramModel.log_probability` over two arrays of trie word states.
+
+    The seen pairs of lexicon words are looked up in one sorted table
+    keyed by ``prev << 32 | cur``, and give the exact floats that
+    ``log_probability`` returns.
+    """
+    seen, floor = bigrams.log_probabilities()
+    # each seen pair's two word states, -1 for a word outside the lexicon
+    pair = np.fromiter(map(trie.state_of.get, chain.from_iterable(seen), repeat(-1)), np.int64, 2 * len(seen))
+    pair = pair.reshape(-1, 2)
+    known = (pair >= 0).all(axis=1)
+    keys = pair[known, 0] << 32 | pair[known, 1]
+    order = np.argsort(keys)
+    # one key above every pair's, so that every lookup lands on a key
+    keys = np.append(keys[order], np.iinfo(np.int64).max)
+    values = np.append(np.fromiter(seen.values(), np.float64, len(seen))[known][order], floor)
+
+    def log_prob(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
+        key = prev.astype(np.int64) << 32 | cur
+        at = np.searchsorted(keys, key)
+        return np.where(keys[at] == key, values[at], floor)
+
+    return log_prob
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,15 @@
 """Lexicon and bigram model loading."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tagrec.corpus import DEAD, DEAD_COLUMN, ROOT, BigramModel, Lexicon, load_bigrams, load_lexicon
 from tagrec.errors import EmptyResourceError, InputError, ParseError, ResourceError
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def write(tmp_path, name, text):
@@ -74,6 +77,15 @@ class TestLoadLexicon:
         trie = Lexicon(words=frozenset({"ab", "a-b", "Ab", "café"})).trie
         assert [w for w in trie.words if w is not None] == ["ab"]
         assert len(trie.table) == 4  # DEAD, ROOT, "a", "ab"
+
+    @pytest.mark.parametrize("words", [None, ("a", "aa", "ab", "b")], ids=["data", "prefixes"])
+    def test_word_states_follow_sorted_word_order(self, words):
+        # the segmenter ranks the prefixes of its Viterbi rounds by word state
+        lex = load_lexicon(DATA / "lexicon.txt") if words is None else Lexicon(words=frozenset(words))
+        trie = lex.trie
+        states = np.flatnonzero(trie.is_word)
+        assert trie.words[states].tolist() == sorted(lex.words)
+        assert trie.state_of == dict(zip(trie.words[states].tolist(), states.tolist()))
 
 
 class TestLoadBigrams:
@@ -146,6 +158,11 @@ class TestBigramModel:
                 assert model.log_probability(a, b) == (math.log(p) if p > 0 else float("-inf")), (a, b)
                 unseen += (a, b) not in model.counts
         assert unseen and model.log_probability("zzz", "zzz") == (math.log(floor) if floor else float("-inf"))
+        seen, unseen_log = model.log_probabilities()
+        assert seen == {pair: model.log_probability(*pair) for pair in model.counts}
+        assert unseen_log == model.log_probability("zzz", "zzz")
+        with pytest.raises(TypeError):
+            seen["zzz", "zzz"] = 0.0  # read-only
 
     def test_floor_must_be_below_one(self):
         with pytest.raises(InputError):

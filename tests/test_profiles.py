@@ -2,21 +2,40 @@
 
 import logging
 import random
+from pathlib import Path
 
 import pytest
 
 from tagrec import segmenter
+from tagrec.corpus import load_bigrams, load_lexicon
 from tagrec.errors import InputError, ParseError, ResourceError
 from tagrec.profiles import build_profile, build_profiles, ingest_profiles
-from tagrec.segmenter import Hashtag, segment
+from tagrec.segmenter import Hashtag, SegmentStatus, segment
 
 from conftest import WORKED_LEXICON
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def write_users(tmp_path, text):
     path = tmp_path / "users.tsv"
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def reference_profile(hashtags, lexicon, bigrams):
+    """Parse and segment every hashtag on its own: (words, n_invalid, n_unsegmentable)."""
+    words, n_invalid, n_unsegmentable = set(), 0, 0
+    for raw in hashtags:
+        try:
+            tag = Hashtag.parse(raw)
+        except InputError:
+            n_invalid += 1
+            continue
+        tokens = segment(tag, lexicon, bigrams).tokens
+        words.update(tokens)
+        n_unsegmentable += not tokens
+    return frozenset(words), n_invalid, n_unsegmentable
 
 
 class TestIngest:
@@ -154,18 +173,7 @@ class TestBuildProfiles:
 
     def test_matches_reference_without_memo(self, worked_lexicon, worked_bigrams):
         def reference(hashtags):
-            """Parse and segment every hashtag on its own: (words, n_invalid, n_unsegmentable)."""
-            words, n_invalid, n_unsegmentable = set(), 0, 0
-            for raw in hashtags:
-                try:
-                    tag = Hashtag.parse(raw)
-                except InputError:
-                    n_invalid += 1
-                    continue
-                tokens = segment(tag, worked_lexicon, worked_bigrams).tokens
-                words.update(tokens)
-                n_unsegmentable += not tokens
-            return frozenset(words), n_invalid, n_unsegmentable
+            return reference_profile(hashtags, worked_lexicon, worked_bigrams)
 
         rng = random.Random(5)
         nonwords = ["xqzv", "worldx", "thez", "backthrowz"]
@@ -192,3 +200,24 @@ class TestBuildProfiles:
             assert [(p.words, p.n_invalid, p.n_unsegmentable) for p in built] == [
                 reference(tags) for _, tags in pairs
             ]
+
+    @pytest.mark.parametrize("floor", [1e-9, 0.0])
+    def test_matches_segment_per_hashtag_on_the_bundled_corpus(self, floor):
+        # Joined lexicon words split several ways here, so the batch's
+        # disambiguated bodies meet invalid, unsegmentable and repeated hashtags.
+        lexicon = load_lexicon(DATA / "lexicon.txt")
+        bigrams = load_bigrams(DATA / "bigrams.tsv", floor_prob=floor)
+        words = sorted(lexicon.words)
+        rng = random.Random(20)
+        pool = ["#" + "".join(rng.sample(words, rng.randint(1, 4))) for _ in range(300)]
+        pool += ["#tbt2015", "#", "#café", "#qxzj", "#qxzjqq", " #WorldWide "]
+        pairs = [(f"u{i % 37}", rng.choices(pool, k=rng.randint(0, 25))) for i in range(60)]  # ids repeat
+        built = build_profiles(pairs, lexicon, bigrams)
+        assert [(p.words, p.n_invalid, p.n_unsegmentable) for p in built] == [
+            reference_profile(tags, lexicon, bigrams) for _, tags in pairs
+        ]
+        statuses = {r.status for r in segmenter.segment_all(pool, lexicon, bigrams)}
+        assert statuses >= {SegmentStatus.EXACT_WORD, SegmentStatus.UNIQUE, SegmentStatus.INVALID}
+        # under a zero floor each body with rival splits meets an unseen bigram on every one
+        assert (SegmentStatus.DISAMBIGUATED in statuses) == (floor > 0)
+        assert sum(p.n_unsegmentable for p in built) and sum(p.n_invalid for p in built)

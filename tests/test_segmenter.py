@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from tagrec.segmenter import (
     SegmentationFailure,
     SegmentResult,
     SegmentStatus,
+    _normalize,
     _walk,
     enumerate_segmentations,
     evaluate_segmenter,
@@ -41,6 +43,19 @@ class TestHashtagParse:
         with pytest.raises(InputError):
             Hashtag.parse(raw)
 
+    def test_normalize_matches_the_letters_regex_on_every_code_point(self):
+        # Both forms judge the lowercased body, so a character that lowercases
+        # into a-z passes either way: KELVIN SIGN gives "k".
+        letters = re.compile("[a-z]+")
+
+        def regex_form(raw):
+            body = raw.strip().removeprefix("#").lower()
+            return body if letters.fullmatch(body) else ""
+
+        raws = ["#" + chr(c) + "a" for c in range(0x110000)]
+        assert [raw for raw in raws if _normalize(raw) != regex_form(raw)] == []
+        assert _normalize("#\u212aa") == "ka"
+
 
 class TestEnumerate:
     def test_throwbackthursday_two_parses(self, worked_lexicon):
@@ -51,6 +66,11 @@ class TestEnumerate:
     def test_worldwide_two_parses(self, worked_lexicon):
         results, _ = enumerate_segmentations("#worldwide", worked_lexicon)
         assert set(results) == {("worldwide",), ("world", "wide")}
+
+    def test_empty_body_raises(self):
+        # as segment does; segment_all calls such an input invalid
+        with pytest.raises(InputError):
+            enumerate_segmentations(Hashtag("#", ""), lex("a", "b"))
 
     def test_no_parse_is_empty(self, worked_lexicon):
         results, truncated = enumerate_segmentations("#xqzv", worked_lexicon)
@@ -411,6 +431,47 @@ class TestBatch:
         repeated = self.check(["abab", "cab", "abab", "d", "abab"], lx, floor)
         assert repeated[0] == repeated[2] == repeated[4] != repeated[1]
 
+    @staticmethod
+    def follows_the_rules(bodies, lexicon, model):
+        """Segment ``bodies`` in one batch and check each against ``documented_rule``."""
+        results = list(segment_all(bodies, lexicon, model))
+        for body, result in zip(bodies, results):
+            if not body:
+                assert result.status is SegmentStatus.INVALID
+                continue
+            assert (result.tokens, result.status) == documented_rule(body, lexicon, model), (body, model.counts)
+            if result.status in (SegmentStatus.UNIQUE, SegmentStatus.DISAMBIGUATED):
+                assert result.log_score == score_segmentation(result.tokens, model), body
+        return results
+
+    @pytest.mark.parametrize("floor", [1e-9, 0.25, 0.0])
+    def test_random_vocabularies_in_mixed_batches(self, floor):
+        # test_matches_uncapped_enumeration's vocabularies, each with all its
+        # bodies, repeats and an invalid one in one batch
+        rng = random.Random(floor)
+        statuses = set()
+        for _ in range(150):
+            pieces = ("".join(rng.choice("ab") for _ in range(rng.randint(1, 3))) for _ in range(rng.randint(2, 6)))
+            vocab = sorted(set(pieces))
+            counts = {(rng.choice(vocab), rng.choice(vocab)): rng.choice([1, 2, 4]) for _ in range(rng.randint(1, 8))}
+            lx, model = lex(*vocab), BigramModel(counts, floor_prob=floor)
+            bodies = ["".join(rng.choice("ab") for _ in range(rng.randint(1, 14))) for _ in range(12)]
+            results = self.follows_the_rules(bodies + [""] + bodies[:4], lx, model)
+            statuses.update(r.status for r in results)
+        assert SegmentStatus.DISAMBIGUATED in statuses
+
+    @pytest.mark.parametrize("floor", [1e-9, 0.25, 0.0])
+    def test_rounded_tie_in_a_mixed_batch(self, floor):
+        # TestSegment.test_prefix_with_lower_sum_wins_a_rounded_tie's body
+        # among others of its lexicon
+        lx = lex("a", "b", "ba", "bb")
+        model = BigramModel({("b", "bb"): 10, ("a", "bb"): 2187, ("a", "b"): 2187, ("ba", "a"): 2}, floor_prob=floor)
+        tie = "babbbbbba"
+        bodies = [tie[:k] for k in range(1, len(tie))] + [tie, "abba", tie, "bbbb", tie[::-1]]
+        results = self.follows_the_rules(bodies, lx, model)
+        if floor == 1e-9:  # the floor the tie was found at
+            assert results[bodies.index(tie)].tokens == ("ba", "b", "bb", "bb", "ba")
+
     def test_path_counts_cap_at_two_past_many_words(self):
         # 70 words start at each position of "a" * 70, most with 2 splits onward
         lx = lex(*("a" * n for n in range(1, 71)))
@@ -473,6 +534,18 @@ class TestBatch:
         results = self.check(bodies, lx, floor)
         assert [r.status for r in results[:-1]] == [SegmentStatus.UNSEGMENTABLE] * (len(bodies) - 1)
         assert results[-1].status is SegmentStatus.DISAMBIGUATED
+
+    def test_exact_word_outside_a_to_z(self):
+        # a Lexicon and a Hashtag built directly may hold a word the trie leaves out
+        lx = lex("é", "a", "b", "ab")
+        model = BigramModel({("a", "b"): 1})
+        results = list(segment_all([Hashtag("#é", "é"), "#ab", Hashtag("#é", "é"), "#é"], lx, model))
+        assert [(r.tokens, r.status.value, r.log_score) for r in results] == [
+            (("é",), "exact_word", 0.0),
+            (("ab",), "exact_word", 0.0),
+            (("é",), "exact_word", 0.0),
+            ((), "invalid", float("-inf")),
+        ]
 
 
 class TestEvaluate:
