@@ -289,9 +289,6 @@ class SimilarityMatrix:
             i, j = j, i
         return float(self.condensed[self._k(i, j)])
 
-    def sim_ids(self, a: str, b: str) -> float:
-        return self.sim(self.index(a), self.index(b))
-
     def block(self, rows, cols) -> np.ndarray:
         """float32 similarities from the profiles at indices ``rows`` (axis
         0) to those at ``cols`` (axis 1); a cell of one profile with itself

@@ -19,8 +19,9 @@ that parses raw hashtags: an input that does not normalize gets an
 ``invalid`` result in its place instead of ending the batch, and since a
 result depends on the body alone, each distinct body is walked and
 segmented once however often it occurs.  :func:`segment` is a batch of
-one that raises on an invalid input, and :func:`enumerate_segmentations`
-lists the splits, up to a cap, for inspection and for tests.
+one that raises on an invalid input.  :func:`enumerate_segmentations`
+lists the splits, up to a cap, in plain Python that shares no code with
+the batch: it is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ def _walk(bodies: list[str], trie: Trie) -> _Lattice:
     edges that lead to no complete split are dropped.  Positions are
     int32, so the joined bodies must hold fewer than 2**31 characters.
     """
-    text = ("\n".join(bodies) + "\n").encode("ascii", "replace")  # one byte per character
+    text = ("\n".join(bodies) + "\n").encode("ascii")
     if len(text) >= 2**31:
         raise InputError(f"cannot segment {len(text)} characters of hashtag bodies in one batch")
     column = np.frombuffer(text, np.uint8) - np.uint8(ord("a"))
@@ -180,7 +181,7 @@ def _bounds(origin: np.ndarray, starts: np.ndarray, size: int) -> np.ndarray:
 
 
 def enumerate_segmentations(
-    hashtag: Hashtag | str,
+    hashtag: str,
     lexicon: Lexicon,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
 ) -> tuple[list[tuple[str, ...]], bool]:
@@ -189,24 +190,23 @@ def enumerate_segmentations(
     Returns ``(segmentations, truncated)``.  Segmentations are ordered by
     token count, then lexicographically, and at most ``max_candidates``
     are returned; ``truncated`` reports whether more existed.  A hashtag
-    that does not normalize, or a :class:`Hashtag` with an empty body,
-    raises :class:`InputError`, as in :func:`segment`.
+    that does not normalize raises :class:`InputError`, as in
+    :func:`segment`.  The splits are listed in plain Python, sharing no
+    code with :func:`segment_all`, so the tests can check one against the
+    other.
     """
     if max_candidates < 1:
         raise InputError(f"max_candidates must be positive, got {max_candidates}")
-    tag = hashtag if isinstance(hashtag, Hashtag) else Hashtag.parse(hashtag)
-    if not tag.normalized:
-        raise _invalid(tag.raw)
-    body = tag.normalized
+    body = Hashtag.parse(hashtag).normalized
     length = len(body)
-    trie = lexicon.trie
-    lattice = _walk([body], trie)
-    if not lattice.paths[0]:
-        return [], False
-    # words[i]: the lexicon words from i on some complete split, by length
+    longest = max(map(len, lexicon.words), default=0)
+    # words[i]: the lexicon words from i after which the rest of the body
+    # still splits, by length, found from the body's end backward
     words: list[list[str]] = [[] for _ in body]
-    for i, w in zip(lattice.origin.tolist(), trie.words[lattice.state].tolist()):
-        words[i].append(w)
+    for i in range(length - 1, -1, -1):
+        for j in range(i + 1, min(i + longest, length) + 1):
+            if (j == length or words[j]) and body[i:j] in lexicon.words:
+                words[i].append(body[i:j])
 
     # Best-first expansion pops complete paths in (token count, tokens)
     # order, so truncation keeps the fewest-token candidates.
@@ -233,7 +233,7 @@ def score_segmentation(tokens, bigrams: BigramModel) -> float:
     return total
 
 
-def segment(hashtag: Hashtag | str, lexicon: Lexicon, bigrams: BigramModel) -> SegmentResult:
+def segment(hashtag: str, lexicon: Lexicon, bigrams: BigramModel) -> SegmentResult:
     """Split a hashtag into its most probable sequence of lexicon words.
 
     Selection rules, in order:
@@ -257,29 +257,27 @@ def segment(hashtag: Hashtag | str, lexicon: Lexicon, bigrams: BigramModel) -> S
 
 
 def segment_all(hashtags, lexicon: Lexicon, bigrams: BigramModel) -> Iterator[SegmentResult]:
-    """Segment every hashtag by the rules of :func:`segment`, in order.
+    """Segment every raw hashtag by the rules of :func:`segment`, in order.
 
-    ``hashtags`` holds raw strings, parsed here, and :class:`Hashtag`
-    values.  A raw string that does not normalize, and a ``Hashtag`` with
-    an empty body, give an ``invalid`` result in their place: no tokens,
-    a log score of -inf and ``Hashtag(raw, "")``.  Every input is parsed,
-    and one :func:`_segment_columns` call segments each distinct
-    non-empty body once, before the first result; the results are
-    yielded one per input.
+    A hashtag that does not normalize gets an ``invalid`` result in its
+    place: no tokens, a log score of -inf and ``Hashtag(raw, "")``.  One
+    :func:`_segment_columns` call parses every input and segments each
+    distinct body once, before the first result; the results are yielded
+    one per input.
     """
-    tags = [h if isinstance(h, Hashtag) else Hashtag(h, _normalize(h)) for h in hashtags]
-    segmented = _segment_columns(tags, lexicon, bigrams)
+    raws = list(hashtags)
+    segmented = _segment_columns(raws, lexicon, bigrams)
     names = lexicon.trie.words[segmented.tokens].tolist()
     bounds = segmented.bounds.tolist()
     results = [
-        ((body,) if code == _EXACT else tuple(names[a:b]), _STATUSES[code], score)
-        for body, code, score, a, b in zip(
-            segmented.bodies, segmented.status.tolist(), segmented.score.tolist(), bounds, bounds[1:]
-        )
+        (tuple(names[a:b]), _STATUSES[code], score)
+        for code, score, a, b in zip(segmented.status.tolist(), segmented.score.tolist(), bounds, bounds[1:])
     ]
-    results.append(((), SegmentStatus.INVALID, float("-inf")))  # results[-1], for body_of's -1
-    for tag, k in zip(tags, segmented.body_of.tolist()):
-        yield SegmentResult(tag, *results[k])
+    # bodies[-1] and results[-1], for body_of's -1
+    bodies = segmented.bodies + [""]
+    results.append(((), SegmentStatus.INVALID, float("-inf")))
+    for raw, k in zip(raws, segmented.body_of.tolist()):
+        yield SegmentResult(Hashtag(raw, bodies[k]), *results[k])
 
 
 # A body's status, by its code in _Segmented.status.
@@ -294,10 +292,7 @@ class _Segmented(NamedTuple):
     appearance, and ``body_of[i]`` is input i's index among them, or -1
     where the input is invalid.  Body k has the status
     ``_STATUSES[status[k]]``, the log score ``score[k]`` and the tokens
-    ``tokens[bounds[k]:bounds[k + 1]]``, as int32 trie word states.  An
-    exact word outside a-z, which only a :class:`Hashtag` and a
-    :class:`Lexicon` built directly can hold, has no trie state and so no
-    token here.
+    ``tokens[bounds[k]:bounds[k + 1]]``, as int32 trie word states.
     """
 
     bodies: list[str]
@@ -309,18 +304,17 @@ class _Segmented(NamedTuple):
 
 
 def _segment_columns(hashtags, lexicon: Lexicon, bigrams: BigramModel) -> _Segmented:
-    """Segment every hashtag by the rules of :func:`segment`, as columns.
+    """Segment every raw hashtag by the rules of :func:`segment`, as columns.
 
-    ``hashtags`` holds raw strings, parsed here, and :class:`Hashtag`
-    values.  One :func:`_walk` finds the lattice of each distinct
-    non-empty body.  An exact word's token is the lattice edge that spans
-    it.  A body with one split needs no search, since every edge of its
+    One :func:`_walk` finds the lattice of each distinct body.  A body is
+    an exact word where a lattice edge spans it, and that edge is its
+    token.  A body with one split needs no search, since every edge of its
     lattice lies on that split: its tokens are its edges, and the scores
     of all such bodies are summed together a word at a time, ``((0.0 +
     lp1) + lp2) + ...``, the same additions :func:`score_segmentation`
     makes.  The bodies with several splits go to :func:`_disambiguate`.
     """
-    normalized = [h.normalized if isinstance(h, Hashtag) else _normalize(h) for h in hashtags]
+    normalized = list(map(_normalize, hashtags))
     bodies = list(dict.fromkeys(filter(None, normalized)))
     index = dict(zip(bodies, range(len(bodies))))
     body_of = np.fromiter(map(index.get, normalized, repeat(-1)), np.intp, len(normalized))
@@ -328,13 +322,13 @@ def _segment_columns(hashtags, lexicon: Lexicon, bigrams: BigramModel) -> _Segme
     lattice = _walk(bodies, trie)
     log_prob = _bigram_log_probs(trie, bigrams)
     lengths = np.fromiter(map(len, bodies), np.int32, len(bodies))
-    status = np.array([_UNSEGMENTABLE, _UNIQUE, _DISAMBIGUATED], np.int8)[lattice.paths[lattice.starts]]
-    status[np.fromiter(map(lexicon.words.__contains__, bodies), bool, len(bodies))] = _EXACT
     per_body = np.diff(lattice.bounds)
     body = np.repeat(np.arange(len(bodies), dtype=np.int32), per_body)  # the body of each edge
     origin, state = lattice.origin, lattice.state
-    unique = status == _UNIQUE
     spans = (origin == lattice.starts[body]) & (trie.depth[state] == lengths[body])
+    status = np.array([_UNSEGMENTABLE, _UNIQUE, _DISAMBIGUATED], np.int8)[lattice.paths[lattice.starts]]
+    status[body[spans]] = _EXACT
+    unique = status == _UNIQUE
     token = spans | unique[body]  # the edges that are tokens of exact and unique bodies
     n_tokens = np.bincount(body[token], minlength=len(bodies))
     score = np.where(status == _EXACT, 0.0, -np.inf)

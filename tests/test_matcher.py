@@ -131,7 +131,7 @@ class TestSimilarityMatrix:
         assert blob_matrix.sim(0, 0) == 1.0
         assert blob_matrix.sim(0, 1) == pytest.approx(0.9)
         assert blob_matrix.sim(1, 0) == pytest.approx(0.9)
-        assert blob_matrix.sim_ids("u0", "u3") == pytest.approx(0.1)
+        assert blob_matrix.sim(blob_matrix.index("u0"), blob_matrix.index("u3")) == pytest.approx(0.1)
 
     def test_unknown_id(self, blob_matrix):
         with pytest.raises(UnknownIdError):
@@ -201,7 +201,7 @@ class TestBuildMatrix:
 
     def test_worked_pair(self, worked_word_sim):
         matrix = build_similarity_matrix(self.make_profiles(), worked_word_sim)
-        assert matrix.sim_ids("a", "b") == pytest.approx(0.5845, abs=1e-6)
+        assert matrix.sim(matrix.index("a"), matrix.index("b")) == pytest.approx(0.5845, abs=1e-6)
         assert matrix.sim(0, 0) == 1.0
 
     def test_single_profile(self, worked_word_sim):

@@ -10,7 +10,7 @@ from tagrec import segmenter
 from tagrec.corpus import load_bigrams, load_lexicon
 from tagrec.errors import InputError, ParseError, ResourceError
 from tagrec.profiles import build_profile, build_profiles, ingest_profiles
-from tagrec.segmenter import Hashtag, SegmentStatus, segment
+from tagrec.segmenter import SegmentStatus, segment
 
 from conftest import WORKED_LEXICON
 
@@ -28,11 +28,10 @@ def reference_profile(hashtags, lexicon, bigrams):
     words, n_invalid, n_unsegmentable = set(), 0, 0
     for raw in hashtags:
         try:
-            tag = Hashtag.parse(raw)
+            tokens = segment(raw, lexicon, bigrams).tokens
         except InputError:
             n_invalid += 1
             continue
-        tokens = segment(tag, lexicon, bigrams).tokens
         words.update(tokens)
         n_unsegmentable += not tokens
     return frozenset(words), n_invalid, n_unsegmentable

@@ -14,7 +14,7 @@ def sorted_per_target(clustering: Clustering, matrix: SimilarityMatrix, top_k: i
     for target in matrix.ids:
         cluster = clustering.assignment[target]
         scored = [
-            (candidate, matrix.sim_ids(target, candidate))
+            (candidate, matrix.sim(matrix.index(target), matrix.index(candidate)))
             for candidate, c in clustering.assignment.items()
             if c == cluster and candidate != target
         ]

@@ -70,7 +70,7 @@ class TestEnumerate:
     def test_empty_body_raises(self):
         # as segment does; segment_all calls such an input invalid
         with pytest.raises(InputError):
-            enumerate_segmentations(Hashtag("#", ""), lex("a", "b"))
+            enumerate_segmentations("#world wide", lex("a", "b"))
 
     def test_no_parse_is_empty(self, worked_lexicon):
         results, truncated = enumerate_segmentations("#xqzv", worked_lexicon)
@@ -117,6 +117,17 @@ class TestEnumerate:
             got, truncated = enumerate_segmentations(body, lx, max_candidates=1 << 12)
             assert not truncated
             assert set(got) == expected
+
+    def test_lists_splits_without_the_lattice_walk(self, monkeypatch):
+        # the tests' oracle shares no code with segment_all's lattice
+        def broken_walk(bodies, trie):
+            raise AssertionError("enumerate_segmentations walked the trie")
+
+        monkeypatch.setattr(segmenter, "_walk", broken_walk)
+        lx = lex(*TestLattice.VOCAB)
+        for body in TestLattice().bodies():
+            want = sorted(splits_of(body, lx), key=lambda tokens: (len(tokens), tokens))
+            assert enumerate_segmentations(body, lx, max_candidates=1 << 12) == (want, False), body
 
     def test_concatenation_reconstructs_body(self, worked_lexicon):
         results, _ = enumerate_segmentations("#throwbackthursday", worked_lexicon)
@@ -272,7 +283,7 @@ def documented_rule(body, lexicon, bigrams):
     """``(tokens, status)`` by the rules of ``segment``, over every split."""
     if body in lexicon:
         return (body,), SegmentStatus.EXACT_WORD
-    splits, truncated = enumerate_segmentations(Hashtag(raw=body, normalized=body), lexicon, max_candidates=1 << 16)
+    splits, truncated = enumerate_segmentations(body, lexicon, max_candidates=1 << 16)
     assert not truncated
     if not splits:
         return (), SegmentStatus.UNSEGMENTABLE
@@ -389,20 +400,19 @@ class TestBatch:
         # Seen pairs count 1 each, so splits of one length tie on score.
         counts = {(a, b): 1 for a in lexicon.words for b in lexicon.words if not {a, b} & {"ca", "cab"}}
         model = BigramModel(counts, floor_prob=floor)
-        tags = [Hashtag(raw=f"#{body}", normalized=body) for body in bodies]
-        results = list(segment_all(tags, lexicon, model))
-        assert [r.hashtag for r in results] == tags
-        for tag, result in zip(tags, results):
-            body = tag.normalized
+        raws = [f"#{body}" for body in bodies]
+        results = list(segment_all(raws, lexicon, model))
+        assert [r.hashtag for r in results] == [Hashtag(raw, body) for raw, body in zip(raws, bodies)]
+        for raw, body, result in zip(raws, bodies, results):
             if not body:
-                assert result == SegmentResult(tag, (), SegmentStatus.INVALID, float("-inf"))
+                assert result == SegmentResult(Hashtag(raw, ""), (), SegmentStatus.INVALID, float("-inf"))
                 with pytest.raises(InputError):
-                    segment(tag, lexicon, model)
+                    segment(raw, lexicon, model)
                 continue
             assert (result.tokens, result.status) == documented_rule(body, lexicon, model), body
             if result.status in (SegmentStatus.UNIQUE, SegmentStatus.DISAMBIGUATED):
                 assert result.log_score == score_segmentation(result.tokens, model), body
-            assert result == segment(tag, lexicon, model)  # a batch of one
+            assert result == segment(raw, lexicon, model)  # a batch of one
         lattice = _walk(bodies, lexicon.trie)
         walked = lattice.walked.tolist()
         for body, view, start in zip(bodies, lattice_of(bodies, lexicon), lattice.starts.tolist()):
@@ -490,20 +500,18 @@ class TestBatch:
         assert lattice.state.size == 1 and lx.trie.words[lattice.state[0]] == "ab"
 
     def test_invalid_inputs_get_a_result_in_place(self, worked_lexicon, worked_bigrams, monkeypatch):
-        # one batch of raw strings and Hashtags: two raws that do not
-        # normalize, an empty body, and bodies that recur
-        empty = Hashtag(raw="#worldwide", normalized="")
+        # one batch: three raws that do not normalize, and bodies that recur
         hashtags = [
             "#WorldWideFestival",
             "#tbt2015",
-            empty,
+            "#world wide",
             "worldwidefestival",
             "#xqzv",
             "#",
-            Hashtag(raw="#WW", normalized="worldwide"),
+            "#WORLDWIDE",
             " #WorldWide ",
         ]
-        invalid = {1: Hashtag("#tbt2015", ""), 2: empty, 5: Hashtag("#", "")}
+        invalid = {1: Hashtag("#tbt2015", ""), 2: Hashtag("#world wide", ""), 5: Hashtag("#", "")}
         walked = []
         walk = segmenter._walk
 
@@ -525,27 +533,6 @@ class TestBatch:
                 assert result == segment(hashtag, worked_lexicon, worked_bigrams), hashtag
         statuses = ["disambiguated", "invalid", "invalid", "disambiguated", "unsegmentable", "invalid"]
         assert [r.status.value for r in results] == statuses + ["exact_word", "exact_word"]
-
-    @pytest.mark.parametrize("floor", [1e-9, 0.0])
-    def test_bodies_outside_a_to_z(self, floor):
-        # Hashtag.parse admits only a-z, but a Hashtag built directly may hold anything
-        lx = lex(*self.VOCAB)
-        bodies = ["ab1ab", "abé", "éab", "ab\nab", "AB", "ab ab", "ab\udc80", "ab{", "ab`", "abab"]
-        results = self.check(bodies, lx, floor)
-        assert [r.status for r in results[:-1]] == [SegmentStatus.UNSEGMENTABLE] * (len(bodies) - 1)
-        assert results[-1].status is SegmentStatus.DISAMBIGUATED
-
-    def test_exact_word_outside_a_to_z(self):
-        # a Lexicon and a Hashtag built directly may hold a word the trie leaves out
-        lx = lex("é", "a", "b", "ab")
-        model = BigramModel({("a", "b"): 1})
-        results = list(segment_all([Hashtag("#é", "é"), "#ab", Hashtag("#é", "é"), "#é"], lx, model))
-        assert [(r.tokens, r.status.value, r.log_score) for r in results] == [
-            (("é",), "exact_word", 0.0),
-            (("ab",), "exact_word", 0.0),
-            (("é",), "exact_word", 0.0),
-            ((), "invalid", float("-inf")),
-        ]
 
 
 class TestEvaluate:
