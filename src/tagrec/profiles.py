@@ -26,7 +26,7 @@ import numpy as np
 
 from tagrec.corpus import BigramModel, Lexicon
 from tagrec.errors import ParseError
-from tagrec.segmenter import _firsts, _ranges, _segment_columns
+from tagrec.segmenter import firsts, ranges, segment_columns
 from tagrec.segmenter import segment  # noqa: F401  pipebench/spans.py wraps profiles.segment
 from tagrec.tsv import read_rows
 
@@ -89,7 +89,7 @@ def build_profiles(pairs, lexicon: Lexicon, bigrams: BigramModel) -> list[Profil
     index = dict(zip(dict.fromkeys(tags), count()))
     raw = np.fromiter(map(index.__getitem__, tags), np.intp, len(tags))
     # 2. segment them in one batch: each hashtag's body, -1 if invalid
-    segmented = _segment_columns(index, lexicon, bigrams)
+    segmented = segment_columns(index, lexicon, bigrams)
     body = segmented.body_of[raw]
     # 3. the profiles, from every hashtag's user, body and tokens
     user = np.repeat(np.arange(len(pairs), dtype=np.int64), [len(hashtags) for _, hashtags in pairs])
@@ -102,9 +102,9 @@ def build_profiles(pairs, lexicon: Lexicon, bigrams: BigramModel) -> list[Profil
     # place: np.unique would first build a hash table of them all
     words = np.repeat(user, tokens)
     words <<= 32
-    words |= segmented.tokens[_ranges(segmented.bounds[body], tokens)]
+    words |= segmented.tokens[ranges(segmented.bounds[body], tokens)]
     words.sort()
-    words = words[_firsts(words)]
+    words = words[firsts(words)]
     cuts = np.searchsorted(words >> 32, np.arange(len(pairs) + 1)).tolist()
     names = lexicon.trie.words[words & 0xFFFFFFFF].tolist()
     built = [

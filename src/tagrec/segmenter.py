@@ -2,26 +2,26 @@
 
 A hashtag body may be split only into lexicon words; when several splits
 compete, the one whose adjacent-word bigrams carry the highest joint
-probability wins.  A body that is itself a dictionary word short-circuits
-both steps.  :func:`segment_all` segments a batch of hashtags at once:
-one walk of the lexicon's character trie (:attr:`Lexicon.trie`) finds
-the lattice of lexicon words of every body in lock-step, round r starting
-a walk at every position that a split of r words reaches, in the manner
-of Aho and Corasick's many-pattern matcher (1975).  The whole batch is
-then scored in numpy, as columns of statuses, scores and trie word
-states (:func:`_segment_columns`).  Where one split exists its words are
-read off the lattice and scored for all such bodies together; where
-several do, a Viterbi dynamic program over the lattice (Norvig, "Natural
-Language Corpus Data", *Beautiful Data*, 2009) finds the winner without
-listing the splits, in rounds by token count over all those bodies at
-once (:func:`_disambiguate`).  :func:`segment_all` is also the one place
-that parses raw hashtags: an input that does not normalize gets an
-``invalid`` result in its place instead of ending the batch, and since a
-result depends on the body alone, each distinct body is walked and
-segmented once however often it occurs.  :func:`segment` is a batch of
-one that raises on an invalid input.  :func:`enumerate_segmentations`
-lists the splits, up to a cap, in plain Python that shares no code with
-the batch: it is the tests' oracle.
+probability wins.  A body that is itself a dictionary word wins unsplit.
+:func:`segment_all` segments a batch of hashtags at once: one walk of
+the lexicon's character trie (:attr:`Lexicon.trie`) finds the lattice of
+lexicon words of every body in lock-step, round r starting a walk at
+every position that a split of r words reaches, in the manner of Aho and
+Corasick's many-pattern matcher (1975).  The whole batch is then scored
+in numpy, as columns of statuses, scores and trie word states
+(:func:`segment_columns`), by one Viterbi dynamic program over every
+body's lattice (Norvig, "Natural Language Corpus Data", *Beautiful
+Data*, 2009), which finds each winner without listing the splits, in
+rounds by token count over all bodies at once (:func:`_disambiguate`).
+A body's status follows from its count of splits and its winner's token
+count.  :func:`segment_all` is also the one place that parses raw
+hashtags: an input that does not normalize gets an ``invalid`` result in
+its place instead of ending the batch, and since a result depends on the
+body alone, each distinct body is walked and segmented once however
+often it occurs.  :func:`segment` is a batch of one that raises on an
+invalid input.  :func:`enumerate_segmentations` lists the splits, up to
+a cap, in plain Python that shares no code with the batch: it is the
+tests' oracle.
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ def _walk(bodies: list[str], trie: Trie) -> _Lattice:
         if not at.size:
             continue
         here = origin[at]
-        heads = _firsts(here).nonzero()[0]  # where each origin's words begin
+        heads = firsts(here).nonzero()[0]  # where each origin's words begin
         paths[here[heads]] = np.minimum(np.add.reduceat(paths[end[at]], heads, dtype=np.intp), 2)
     keep = paths[end] > 0
     origin, state = origin[keep], state[keep]
@@ -261,12 +261,12 @@ def segment_all(hashtags, lexicon: Lexicon, bigrams: BigramModel) -> Iterator[Se
 
     A hashtag that does not normalize gets an ``invalid`` result in its
     place: no tokens, a log score of -inf and ``Hashtag(raw, "")``.  One
-    :func:`_segment_columns` call parses every input and segments each
+    :func:`segment_columns` call parses every input and segments each
     distinct body once, before the first result; the results are yielded
     one per input.
     """
     raws = list(hashtags)
-    segmented = _segment_columns(raws, lexicon, bigrams)
+    segmented = segment_columns(raws, lexicon, bigrams)
     names = lexicon.trie.words[segmented.tokens].tolist()
     bounds = segmented.bounds.tolist()
     results = [
@@ -286,7 +286,7 @@ _EXACT, _UNIQUE, _DISAMBIGUATED, _UNSEGMENTABLE = range(len(_STATUSES))
 
 
 class _Segmented(NamedTuple):
-    """A batch of hashtags segmented, as columns, from :func:`_segment_columns`.
+    """A batch of hashtags segmented, as columns, from :func:`segment_columns`.
 
     ``bodies`` are the distinct non-empty bodies, in order of first
     appearance, and ``body_of[i]`` is input i's index among them, or -1
@@ -303,16 +303,18 @@ class _Segmented(NamedTuple):
     bounds: np.ndarray
 
 
-def _segment_columns(hashtags, lexicon: Lexicon, bigrams: BigramModel) -> _Segmented:
+def segment_columns(hashtags, lexicon: Lexicon, bigrams: BigramModel) -> _Segmented:
     """Segment every raw hashtag by the rules of :func:`segment`, as columns.
 
-    One :func:`_walk` finds the lattice of each distinct body.  A body is
-    an exact word where a lattice edge spans it, and that edge is its
-    token.  A body with one split needs no search, since every edge of its
-    lattice lies on that split: its tokens are its edges, and the scores
-    of all such bodies are summed together a word at a time, ``((0.0 +
-    lp1) + lp2) + ...``, the same additions :func:`score_segmentation`
-    makes.  The bodies with several splits go to :func:`_disambiguate`.
+    One :func:`_walk` finds the lattice of each distinct body, and one
+    :func:`_disambiguate` call scores every body on it.  Each status then
+    follows from the count of splits at the body's start and the winner's
+    token count.  A one-token winner is the exact word: it scores 0.0, no
+    split scores more, since no bigram log probability is above 0, and a
+    tie goes to fewer tokens.  A body with one split takes the winner's
+    score, -inf where it has none, and keeps its lattice edges as tokens
+    either way, since every edge of its lattice lies on that split.  A
+    body with several splits and no winner is ``unsegmentable``.
     """
     normalized = list(map(_normalize, hashtags))
     bodies = list(dict.fromkeys(filter(None, normalized)))
@@ -324,53 +326,33 @@ def _segment_columns(hashtags, lexicon: Lexicon, bigrams: BigramModel) -> _Segme
     lengths = np.fromiter(map(len, bodies), np.int32, len(bodies))
     per_body = np.diff(lattice.bounds)
     body = np.repeat(np.arange(len(bodies), dtype=np.int32), per_body)  # the body of each edge
-    origin, state = lattice.origin, lattice.state
-    spans = (origin == lattice.starts[body]) & (trie.depth[state] == lengths[body])
-    status = np.array([_UNSEGMENTABLE, _UNIQUE, _DISAMBIGUATED], np.int8)[lattice.paths[lattice.starts]]
-    status[body[spans]] = _EXACT
+    starts, state = lattice.starts, lattice.state
+    score, won, chosen = _disambiguate(lattice.origin, state, body, starts, starts + lengths, trie.depth, log_prob)
+    status = np.array([_UNSEGMENTABLE, _UNIQUE, _DISAMBIGUATED], np.int8)[lattice.paths[starts]]
     unique = status == _UNIQUE
-    token = spans | unique[body]  # the edges that are tokens of exact and unique bodies
-    n_tokens = np.bincount(body[token], minlength=len(bodies))
-    score = np.where(status == _EXACT, 0.0, -np.inf)
-
-    words = state[unique[body]]  # every unique body's tokens, laid end to end
-    steps = log_prob(words[:-1], words[1:])  # steps[i]: from word i to word i + 1
-    length = per_body[unique]
-    first = np.cumsum(length) - length
-    total = np.zeros(length.size)
-    for j in range(1, int(length.max(initial=0))):
-        at = np.flatnonzero(length > j)
-        total[at] += steps[first[at] + j - 1]
-    score[unique] = total
-
-    several = status == _DISAMBIGUATED
-    edges = several[body]
-    local = np.cumsum(several) - 1  # each body's index among those with several splits
-    starts = lattice.starts[several]
-    best, won, chosen = _disambiguate(
-        origin[edges], state[edges], local[body[edges]], starts, starts + lengths[several], trie.depth, log_prob
-    )
-    score[several] = best
-    n_tokens[several] = won
-    status[np.flatnonzero(several)[won == 0]] = _UNSEGMENTABLE
+    status[won == 1] = _EXACT
+    status[(status == _DISAMBIGUATED) & (won == 0)] = _UNSEGMENTABLE
+    n_tokens = np.where(unique, per_body, won)
     bounds = np.zeros(len(bodies) + 1, np.intp)
     np.cumsum(n_tokens, out=bounds[1:])
     tokens = np.empty(bounds[-1], np.int32)
-    chose = np.repeat(several, n_tokens)
-    tokens[chose] = chosen
-    tokens[~chose] = state[token]
+    edges = np.repeat(unique, n_tokens)
+    tokens[edges] = state[unique[body]]
+    tokens[~edges] = chosen[np.repeat(~unique, won)]
     return _Segmented(bodies, body_of, status, score, tokens, bounds)
 
 
 def _disambiguate(origin, state, body, starts, ends, depth, log_prob):
-    """The winning split of every body with several, by a Viterbi in rounds.
+    """The winning split of every body, by one Viterbi in rounds.
 
-    ``origin`` and ``state`` are those bodies' lattice edges, in
+    ``origin`` and ``state`` are the bodies' lattice edges, in
     :func:`_walk`'s order, ``body`` gives each edge's body, and body k
     spans ``starts[k]`` up to ``ends[k]``.  Returns each body's winning
     score and token count, and the winners' tokens laid end to end in
     body order; a body none of whose splits scores above -inf gets -inf
-    and no tokens.
+    and no tokens.  A split's score is summed as it is extended, a word
+    at a time, ``((0.0 + lp1) + lp2) + ...``: the same additions in the
+    same order as :func:`score_segmentation`, so the floats are the same.
 
     A state of the Viterbi, an (end, last word) pair, is an edge.  Round t
     holds the t-token prefixes of all bodies as (edge, parent, score)
@@ -422,7 +404,7 @@ def _disambiguate(origin, state, body, starts, ends, depth, log_prob):
         key = (edges - edge[order].astype(np.int64)) * edge.size + order
         kept = np.empty(edge.size, bool)
         kept[order] = np.minimum.accumulate(key) == key
-        head = order[_firsts(edge[order])]  # each edge's highest row
+        head = order[firsts(edge[order])]  # each edge's highest row
         best_at[edge[head]] = score[head]
         edge, parent, score = edge[kept], parent[kept], score[kept]
         rounds.append((edge, parent))
@@ -430,14 +412,14 @@ def _disambiguate(origin, state, body, starts, ends, depth, log_prob):
         if done.size:
             # each body's best complete row of this round, ties in rank order
             done = done[np.lexsort((-score[done], body[edge[done]]))]
-            done = done[_firsts(body[edge[done]])]
+            done = done[firsts(body[edge[done]])]
             done = done[score[done] > best[body[edge[done]]]]
             best[body[edge[done]]] = score[done]
             won[body[edge[done]]] = len(rounds)
             won_at[body[edge[done]]] = done
         count = next_count[edge]
         parent = np.repeat(np.arange(edge.size, dtype=np.int32), count)
-        child = _ranges(next_lo[edge], count).astype(np.int32)
+        child = ranges(next_lo[edge], count).astype(np.int32)
         score = score[parent] + log_prob(state[edge[parent]], state[child])
         edge = child
     tokens = np.empty(won.sum(), np.int32)
@@ -452,14 +434,14 @@ def _disambiguate(origin, state, body, starts, ends, depth, log_prob):
     return best, won, tokens
 
 
-def _firsts(values: np.ndarray) -> np.ndarray:
+def firsts(values: np.ndarray) -> np.ndarray:
     """A mask of the first value of each run of equal values."""
     first = np.ones(values.size, bool)
     np.not_equal(values[1:], values[:-1], out=first[1:])
     return first
 
 
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """``starts[i] + j`` for each ``j < counts[i]``, for each ``i`` in order."""
     ends = np.cumsum(counts)
     return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - (ends - counts), counts)

@@ -12,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-PIPEBENCH = Path(__file__).resolve().parent.parent / "pipebench"
+ROOT = Path(__file__).resolve().parent.parent
+PIPEBENCH = ROOT / "pipebench"
+DATA = ROOT / "data"
 
 
 @pytest.fixture
@@ -56,3 +58,30 @@ def test_tracer_installs_and_uninstalls(spans):
         tracer.uninstall()
     for (module, attr), original in originals.items():
         assert getattr(module, attr) is original, (module.__name__, attr)
+
+
+def test_traced_run_all_reads_what_the_tracer_reads(spans, tmp_path, worked_lexicon, worked_bigrams):
+    # The wrappers and observers read attributes of tagrec's results at run
+    # time, which the name checks above do not see.
+    from tagrec import cli
+
+    assert callable(cli.build_parser)  # run.py calls it from a ``-c`` string
+    argv = ["run-all", "--users", str(DATA / "users_demo.tsv"), "--out-dir", str(tmp_path)]
+    argv += ["--lexicon", str(DATA / "lexicon.txt"), "--bigrams", str(DATA / "bigrams.tsv")]
+    for name in ("synsets", "edges", "counts"):
+        argv += [f"--{name}", str(DATA / "taxonomy" / f"{name}.tsv")]
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        tracer.begin("run-all")
+        code = cli.main(argv + ["--k", "3", "--seed", "42", "--top", "3"])
+        spans.profiles.segment("#WorldWide", worked_lexicon, worked_bigrams)  # reads result.hashtag.normalized
+        tracer.end()
+    finally:
+        tracer.uninstall()
+    (trace,) = tracer.traces
+    assert code == 0
+    assert len(trace.stage_elapsed) == 4
+    for name in ("vocab", "pairs", "kmedoids_iterations", "targets"):
+        assert trace.counts[name] > 0, name
+    assert trace.counts["segment_calls"] == 1 and trace.bodies == {"worldwide"}

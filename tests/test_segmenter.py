@@ -173,12 +173,15 @@ class TestSegment:
         assert result.log_score == 0.0
 
     def test_exact_word_wins_even_with_huge_split_probability(self):
-        # the split (world, wide) carries nearly all bigram mass
+        # the split (world, wide) carries all bigram mass: p = 1, so it
+        # ties the exact word at 0.0, alone and in a batch with its words
         lx = lex("worldwide", "world", "wide")
         model = BigramModel({("world", "wide"): 10**9})
         result = segment("#worldwide", lx, model)
         assert result.status is SegmentStatus.EXACT_WORD
         assert result.tokens == ("worldwide",)
+        batch = TestBatch.follows_the_rules(["world", "worldwide", "wide", "worldwideworld"], lx, model)
+        assert (batch[1].tokens, batch[1].status, batch[1].log_score) == (result.tokens, result.status, 0.0)
 
     def test_unsegmentable(self, worked_lexicon, worked_bigrams):
         result = segment("#xqzv", worked_lexicon, worked_bigrams)
@@ -412,6 +415,8 @@ class TestBatch:
             assert (result.tokens, result.status) == documented_rule(body, lexicon, model), body
             if result.status in (SegmentStatus.UNIQUE, SegmentStatus.DISAMBIGUATED):
                 assert result.log_score == score_segmentation(result.tokens, model), body
+            else:  # exact_word or unsegmentable
+                assert result.log_score == (0.0 if result.tokens else float("-inf")), body
             assert result == segment(raw, lexicon, model)  # a batch of one
         lattice = _walk(bodies, lexicon.trie)
         walked = lattice.walked.tolist()
@@ -452,6 +457,8 @@ class TestBatch:
             assert (result.tokens, result.status) == documented_rule(body, lexicon, model), (body, model.counts)
             if result.status in (SegmentStatus.UNIQUE, SegmentStatus.DISAMBIGUATED):
                 assert result.log_score == score_segmentation(result.tokens, model), body
+            else:  # exact_word or unsegmentable
+                assert result.log_score == (0.0 if result.tokens else float("-inf")), body
         return results
 
     @pytest.mark.parametrize("floor", [1e-9, 0.25, 0.0])
