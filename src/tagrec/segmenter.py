@@ -199,12 +199,11 @@ def enumerate_segmentations(
         raise InputError(f"max_candidates must be positive, got {max_candidates}")
     body = Hashtag.parse(hashtag).normalized
     length = len(body)
-    longest = max(map(len, lexicon.words), default=0)
     # words[i]: the lexicon words from i after which the rest of the body
     # still splits, by length, found from the body's end backward
     words: list[list[str]] = [[] for _ in body]
     for i in range(length - 1, -1, -1):
-        for j in range(i + 1, min(i + longest, length) + 1):
+        for j in range(i + 1, length + 1):
             if (j == length or words[j]) and body[i:j] in lexicon.words:
                 words[i].append(body[i:j])
 

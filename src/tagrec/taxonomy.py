@@ -7,6 +7,12 @@ best score over all sense pairs of the normalized shared-information
 measure (twice the most informative common ancestor over the summed
 concept ICs).  :meth:`Taxonomy.similarity_table` computes the same
 scores for a whole word list at once, in numpy.
+
+The constructor walks the is-a DAG once, with Kahn's algorithm from the
+roots down: a synset is closed once all its parents are, and its ancestor
+set is then itself, the virtual root and the union of its parents' sets.
+The same walk rejects edges to unknown ids and, when some synset is never
+reached, a cycle; every later ancestor lookup reads the stored sets.
 """
 
 from __future__ import annotations
@@ -46,7 +52,14 @@ class Synset:
 
 
 class Taxonomy:
-    """Immutable concept hierarchy with propagated counts and IC."""
+    """Immutable concept hierarchy with propagated counts and IC.
+
+    ``parents`` maps a child id to its parent ids; every id on an edge must
+    be in ``synsets``, which may not use the reserved id ``VIRTUAL_ROOT``.
+    One topological pass over the edges checks them, detects cycles and
+    stores every synset's ancestor set, so :meth:`ancestors` is a lookup
+    and the propagated counts sum each own count over those sets.
+    """
 
     def __init__(
         self,
@@ -57,6 +70,8 @@ class Taxonomy:
     ):
         if not synsets:
             raise EmptyResourceError("taxonomy has no synsets")
+        if VIRTUAL_ROOT in synsets:
+            raise InputError(f"synset id {VIRTUAL_ROOT!r} is reserved")
         self.synsets = dict(synsets)
         self.parents = {sid: frozenset(parents.get(sid, ())) for sid in synsets}
         self.roots = frozenset(sid for sid, ps in self.parents.items() if not ps)
@@ -65,8 +80,7 @@ class Taxonomy:
         if not 0.0 < self.ic_cap < math.inf:
             raise InputError(f"ic_cap must be a positive finite number, got {ic_cap}")
 
-        self._check_edges()
-        self._check_acyclic()
+        self._close(parents)
 
         index: dict[str, set[str]] = {}
         for sid, syn in self.synsets.items():
@@ -74,59 +88,45 @@ class Taxonomy:
                 index.setdefault(word, set()).add(sid)
         self.word_index = {w: frozenset(s) for w, s in index.items()}
 
-        self._ancestors_cache: dict[str, frozenset[str]] = {}
         self.freq: dict[str, int] = {}
         self.ic: dict[str, float] = {}
         self._propagate(own_counts)
 
     # -- structure ---------------------------------------------------
 
-    def _check_edges(self) -> None:
-        for child, ps in self.parents.items():
+    def _close(self, parents: dict[str, set[str]]) -> None:
+        # Kahn's algorithm over child->parent edges, parents first, so each
+        # synset's ancestor set is its parents' sets plus itself and the root.
+        children: dict[str, list[str]] = {sid: [] for sid in self.synsets}
+        for child, ps in parents.items():
             for parent in ps:
+                if child not in self.synsets:
+                    raise UnknownIdError(f"edge {child} -> {parent}: unknown child id {child!r}")
                 if parent not in self.synsets:
                     raise UnknownIdError(f"edge {child} -> {parent}: unknown parent id {parent!r}")
-
-    def _check_acyclic(self) -> None:
-        # Kahn's algorithm over child->parent edges.
-        out_degree = {sid: len(ps) for sid, ps in self.parents.items()}
-        children: dict[str, list[str]] = {sid: [] for sid in self.synsets}
-        for child, ps in self.parents.items():
-            for parent in ps:
                 children[parent].append(child)
-        queue = deque(sid for sid, deg in out_degree.items() if deg == 0)
-        seen = 0
+        waiting = {sid: len(ps) for sid, ps in self.parents.items()}
+        queue = deque(sid for sid, n in waiting.items() if n == 0)
+        closure = {VIRTUAL_ROOT: frozenset((VIRTUAL_ROOT,))}
         while queue:
-            node = queue.popleft()
-            seen += 1
-            for child in children[node]:
-                out_degree[child] -= 1
-                if out_degree[child] == 0:
+            sid = queue.popleft()
+            closure[sid] = frozenset((sid, VIRTUAL_ROOT)).union(*(closure[p] for p in self.parents[sid]))
+            for child in children[sid]:
+                waiting[child] -= 1
+                if waiting[child] == 0:
                     queue.append(child)
-        if seen != len(self.synsets):
+        # a synset on or below a cycle never has all its parents closed
+        if len(closure) <= len(self.synsets):
             raise StructureError("taxonomy contains a cycle")
+        self._closure = closure
 
     def ancestors(self, sid: str) -> frozenset[str]:
         """All concepts reachable upward from ``sid``, including itself
         and the virtual root."""
-        if sid != VIRTUAL_ROOT and sid not in self.synsets:
-            raise UnknownIdError(f"unknown synset id {sid!r}")
-        cached = self._ancestors_cache.get(sid)
-        if cached is not None:
-            return cached
-        if sid == VIRTUAL_ROOT:
-            result = frozenset((VIRTUAL_ROOT,))
-        else:
-            closure = {sid, VIRTUAL_ROOT}
-            stack = [sid]
-            while stack:
-                for parent in self.parents[stack.pop()]:
-                    if parent not in closure:
-                        closure.add(parent)
-                        stack.append(parent)
-            result = frozenset(closure)
-        self._ancestors_cache[sid] = result
-        return result
+        try:
+            return self._closure[sid]
+        except KeyError:
+            raise UnknownIdError(f"unknown synset id {sid!r}") from None
 
     # -- information content ------------------------------------------
 
@@ -166,10 +166,11 @@ class Taxonomy:
 
     def lin(self, c1: str, c2: str) -> float:
         """Shared IC normalized by the concepts' own ICs; in [0, 1]."""
-        denom = self.ic[self._require(c1)] + self.ic[self._require(c2)]
+        shared = self.resnik(c1, c2)  # raises UnknownIdError before ic is read
+        denom = self.ic[c1] + self.ic[c2]
         if denom == 0.0:
             return 0.0
-        return 2.0 * self.resnik(c1, c2) / denom
+        return 2.0 * shared / denom
 
     def word_similarity(self, w1: str, w2: str) -> float:
         """Best lin score over all sense pairs; identity scores 1, any
@@ -233,11 +234,6 @@ class Taxonomy:
             if len(group) > 1:
                 table[np.ix_(group, group)] = 1.0
         return table
-
-    def _require(self, sid: str) -> str:
-        if sid != VIRTUAL_ROOT and sid not in self.synsets:
-            raise UnknownIdError(f"unknown synset id {sid!r}")
-        return sid
 
     def __len__(self) -> int:
         return len(self.synsets)

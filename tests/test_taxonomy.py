@@ -41,6 +41,18 @@ def brute_force_freq(synsets, parents, own_counts):
     return {sid: sum(own_counts.get(d, 1) for d in descendants(sid)) for sid in synsets}
 
 
+def brute_force_ancestors(parents, sid):
+    """Oracle: sid, the virtual root and everything reachable upward."""
+    closure = {sid, VIRTUAL_ROOT}
+    stack = [sid]
+    while stack:
+        for parent in parents.get(stack.pop(), ()):
+            if parent not in closure:
+                closure.add(parent)
+                stack.append(parent)
+    return closure
+
+
 def random_dag(rng, max_nodes=20):
     """Random DAG over a topological node order (edges point to lower ids)."""
     n = rng.randint(1, max_nodes)
@@ -85,6 +97,9 @@ class TestPropagation:
             for sid, expected in oracle.items():
                 assert tax.freq[sid] == expected, sid
             assert tax.freq[VIRTUAL_ROOT] == sum(own_counts.get(s, 1) for s in synsets)
+            for sid in synsets:
+                assert tax.ancestors(sid) == brute_force_ancestors(parents, sid), sid
+            assert tax.ancestors(VIRTUAL_ROOT) == {VIRTUAL_ROOT}
 
     def test_zero_frequency_gets_capped_ic(self):
         tax = make_taxonomy({"n1": 5, "n2": 1, "n3": 0, "n4": 0}, ic_cap=25.0)
@@ -110,6 +125,10 @@ class TestStructure:
         synsets = {s: Synset(s, "n", (s,)) for s in ("a", "b")}
         with pytest.raises(StructureError):
             Taxonomy(synsets, {"a": {"b"}, "b": {"a"}}, {})
+        # a cycle hanging below a root: the walk closes r, then stops at a and b
+        synsets["r"] = Synset("r", "n", ("r",))
+        with pytest.raises(StructureError):
+            Taxonomy(synsets, {"a": {"r", "b"}, "b": {"a"}}, {})
 
     def test_self_loop_detected(self):
         synsets = {"a": Synset("a", "n", ("a",))}
@@ -118,8 +137,10 @@ class TestStructure:
 
     def test_unknown_parent_rejected(self):
         synsets = {"a": Synset("a", "n", ("a",))}
-        with pytest.raises(UnknownIdError):
-            Taxonomy(synsets, {"a": {"ghost"}}, {})
+        # an unknown parent, then an unknown child, which would otherwise drop its edge
+        for parents, unknown in (({"a": {"ghost"}}, "parent id 'ghost'"), ({"zz": {"a"}}, "child id 'zz'")):
+            with pytest.raises(UnknownIdError, match=unknown):
+                Taxonomy(synsets, parents, {})
 
     def test_multi_root_joined_under_virtual_root(self):
         synsets = {s: Synset(s, "n", (s,)) for s in ("r1", "r2")}
@@ -142,6 +163,9 @@ class TestMeasures:
     def test_resnik_unknown_id(self, toy_taxonomy_uniform):
         with pytest.raises(UnknownIdError):
             toy_taxonomy_uniform.resnik("n3", "ghost")
+        for call in (lambda t: t.lin("n3", "ghost"), lambda t: t.lin("ghost", "n3"), lambda t: t.ancestors("ghost")):
+            with pytest.raises(UnknownIdError, match="unknown synset id 'ghost'"):
+                call(toy_taxonomy_uniform)
 
     def test_lin_half(self, toy_taxonomy_half):
         assert toy_taxonomy_half.lin("n3", "n4") == pytest.approx(0.5, abs=1e-12)
@@ -298,6 +322,13 @@ class TestLoadTaxonomy:
     def test_malformed_synset_row(self, tmp_path):
         sp, ep, _ = self.write_files(tmp_path, "a\tn\n", "")
         with pytest.raises(ParseError):
+            load_taxonomy(sp, ep)
+
+    def test_reserved_root_id_rejected(self, tmp_path):
+        with pytest.raises(InputError, match="is reserved"):
+            Taxonomy({VIRTUAL_ROOT: Synset(VIRTUAL_ROOT, "n", ("top",))}, {}, {})
+        sp, ep, _ = self.write_files(tmp_path, f"a\tn\talpha\n{VIRTUAL_ROOT}\tn\ttop\n", "")
+        with pytest.raises(ParseError, match="is reserved"):
             load_taxonomy(sp, ep)
 
     def test_duplicate_synset_id(self, tmp_path):
