@@ -169,44 +169,50 @@ def sidecar_path(artifact_path) -> Path:
     return Path(str(artifact_path) + ".meta.json")
 
 
-def write_sidecar(
-    artifact_path, stage: str, params: dict, inputs: dict, elapsed: float, hashes: FileHashes | None = None
-) -> None:
-    hashes = hashes or FileHashes()
-    meta = {
+def _sidecar(stage: str, params: dict, inputs: dict, hashes: FileHashes) -> dict:
+    """The sidecar fields that decide whether a stage is cached, bar the
+    output digest: the stage, its params, :func:`code_sha256` and each
+    input's digest by name.  Inputs are compared by content only, so a
+    moved input with the same bytes leaves a stage cached."""
+    return {
         "stage": stage,
         "params": params,
         "code_sha256": code_sha256(),
-        "inputs": {name: {"path": str(p), "sha256": hashes(p)} for name, p in inputs.items()},
+        "inputs": {name: hashes(p) for name, p in inputs.items()},
+    }
+
+
+def write_sidecar(
+    artifact_path, stage: str, params: dict, inputs: dict, elapsed: float, hashes: FileHashes | None = None
+) -> None:
+    """Write the sidecar of ``artifact_path``: the fields of
+    :func:`_sidecar` and the artifact's digest, then, for reading only,
+    the input paths and the stage's elapsed seconds."""
+    hashes = hashes or FileHashes()
+    meta = {
+        **_sidecar(stage, params, inputs, hashes),
         "output_sha256": hashes(artifact_path),
+        "input_paths": {name: str(p) for name, p in inputs.items()},
         "elapsed_seconds": round(elapsed, 3),
     }
     atomic_write(sidecar_path(artifact_path), json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def stage_is_cached(artifact_path, stage: str, params: dict, inputs: dict, hashes: FileHashes | None = None) -> bool:
+    """Whether the sidecar of ``artifact_path`` holds every field of
+    :func:`_sidecar` and the artifact's digest.  A missing artifact or
+    input, and a sidecar that is missing, unreadable or of another shape,
+    are a miss, not an error."""
     hashes = hashes or FileHashes()
-    artifact_path = Path(artifact_path)
-    meta_path = sidecar_path(artifact_path)
-    if not artifact_path.exists() or not meta_path.exists():
-        return False
     try:
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta = json.loads(sidecar_path(artifact_path).read_text(encoding="utf-8"))
+        return (
+            isinstance(meta, dict)
+            and all(meta.get(key) == value for key, value in _sidecar(stage, params, inputs, hashes).items())
+            and meta.get("output_sha256") == hashes(artifact_path)
+        )
     except (OSError, ValueError):  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         return False
-    # A sidecar of any other shape than write_sidecar's is a cache miss, not an error.
-    if not isinstance(meta, dict):
-        return False
-    if meta.get("stage") != stage or meta.get("params") != params or meta.get("code_sha256") != code_sha256():
-        return False
-    recorded = meta.get("inputs")
-    if not isinstance(recorded, dict) or set(recorded) != set(inputs):
-        return False
-    for name, p in inputs.items():
-        entry = recorded[name]
-        if not isinstance(entry, dict) or not Path(p).exists() or entry.get("sha256") != hashes(p):
-            return False
-    return meta.get("output_sha256") == hashes(artifact_path)
 
 
 # -- artifact writers/readers ------------------------------------------

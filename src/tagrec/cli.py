@@ -16,19 +16,6 @@ from tagrec.taxonomy import DEFAULT_IC_CAP
 
 logger = logging.getLogger("tagrec")
 
-# Types of the run-all keys that are not paths; the keys are PipelineConfig's
-# fields, and a flag or config-file value left out takes the field's default.
-_RUN_ALL_TYPES = {
-    "k": int,
-    "seed": int,
-    "max_iter": int,
-    "top": int,
-    "workers": int,
-    "bigram_floor": float,
-    "ic_cap": float,
-}
-
-
 def _add_corpus_flags(parser):
     parser.add_argument("--lexicon", required=True, help="word list, one word per line")
     parser.add_argument("--bigrams", required=True, help="bigram counts TSV: w1<TAB>w2<TAB>count")
@@ -126,15 +113,8 @@ def _cmd_recommend(args) -> int:
 
 
 def _cmd_run_all(args) -> int:
-    file_values = pipeline.load_config_file(args.config) if args.config else {}
-    values = {}
-    for key, raw in file_values.items():
-        cast = _RUN_ALL_TYPES.get(key, str)
-        try:
-            values[key] = cast(raw)
-        except ValueError:
-            raise InputError(f"config key {key!r}: {raw!r} is not a valid {cast.__name__}") from None
-    values.update((key, getattr(args, key)) for key in pipeline.CONFIG_KEYS if getattr(args, key) is not None)
+    values = pipeline.load_config_file(args.config) if args.config else {}
+    values.update((key, getattr(args, key)) for key in pipeline.CONFIG_TYPES if getattr(args, key) is not None)
     for f in fields(pipeline.PipelineConfig):
         if f.default is MISSING and f.name not in values:
             raise InputError(f"run-all needs --{f.name.replace('_', '-')} (flag or config file)")
@@ -192,16 +172,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recommend", help="rank the most similar profiles within a cluster")
     p.add_argument("--clusters", required=True)
     p.add_argument("--sims", required=True)
-    p.add_argument("--target", default=None, help="profile id to recommend for")
-    p.add_argument("--all", action="store_true", help="batch mode over every profile")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--target", default=None, help="profile id to recommend for")
+    which.add_argument("--all", action="store_true", help="batch mode over every profile")
     p.add_argument("--top", type=int, required=True, help="number of recommendations per profile")
     p.add_argument("--out", default=None, help="output TSV (default: stdout)")
     p.set_defaults(func=_cmd_recommend)
 
     p = sub.add_parser("run-all", help="run the full pipeline with cached stages")
     p.add_argument("--config", default=None, help="key = value config file; flags win")
-    for key in pipeline.CONFIG_KEYS:
-        p.add_argument("--" + key.replace("_", "-"), type=_RUN_ALL_TYPES.get(key, str), default=None)
+    for key, cast in pipeline.CONFIG_TYPES.items():
+        p.add_argument("--" + key.replace("_", "-"), type=cast, default=None)
     p.add_argument("--force", action="store_true", help="recompute even when cached")
     p.set_defaults(func=_cmd_run_all)
 

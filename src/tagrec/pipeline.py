@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import dataclass
 from pathlib import Path
 
 from tagrec import artifacts
@@ -70,6 +71,8 @@ def compute_cluster(
     sims_path, k: int, seed: int, max_iter: int, out_path, hashes: artifacts.FileHashes | None = None
 ) -> None:
     matrix = (hashes or artifacts.FileHashes()).sims(sims_path)
+    if not matrix.ids:
+        raise InputError(f"{sims_path} holds no pair rows")
     clustering = k_medoids(matrix, k=k, seed=seed, max_iter=max_iter)
     artifacts.write_clusters_tsv(out_path, clustering, matrix.ids)
 
@@ -124,10 +127,18 @@ class PipelineConfig:
     force: bool = False
 
     def __post_init__(self):
-        for name in ("users", "lexicon", "bigrams", "synsets", "edges", "out_dir"):
-            setattr(self, name, Path(getattr(self, name)))
-        if self.counts is not None:
-            self.counts = Path(self.counts)
+        for name, cast in CONFIG_TYPES.items():
+            if cast is Path and getattr(self, name) is not None:
+                setattr(self, name, Path(getattr(self, name)))
+
+
+# The type each setting's text is read as, from PipelineConfig's annotations:
+# ``X`` for a field of ``X`` or ``X | None``.  ``force`` is a flag only.
+CONFIG_TYPES = {
+    name: next(t for t in (*typing.get_args(hint), hint) if t is not type(None))
+    for name, hint in typing.get_type_hints(PipelineConfig).items()
+    if name != "force"
+}
 
 
 @dataclass
@@ -142,91 +153,86 @@ class StageReport:
         return f"[{self.stage}] {status} -> {self.path}"
 
 
-def _require_files(stage: str, inputs: dict) -> None:
-    for name, p in inputs.items():
-        if p is None or not Path(p).is_file():
-            raise PipelineError(stage, f"required {name} file not found: {p}")
-
-
 def _run_stage(
-    stage: str, out_path: Path, params: dict, inputs: dict, compute, force: bool, hashes: artifacts.FileHashes | None
+    cfg: PipelineConfig, hashes: artifacts.FileHashes, stage: str, name: str, params: dict, inputs: dict, compute
 ) -> StageReport:
-    inputs = {name: Path(p) for name, p in inputs.items()}
-    _require_files(stage, inputs)
-    if not force and artifacts.stage_is_cached(out_path, stage, params, inputs, hashes):
-        logger.info("[%s] cached -> %s", stage, out_path)
-        return StageReport(stage=stage, path=out_path, cached=True)
+    """Run ``compute(out)`` to write ``out = cfg.out_dir / name``, unless
+    ``cfg.force`` is off and the sidecar of ``out`` shows it cached for
+    ``params`` and ``inputs``, the input files by name."""
+    out = cfg.out_dir / name
+    for key, p in inputs.items():
+        if not p.is_file():
+            raise PipelineError(stage, f"required {key} file not found: {p}")
+    if not cfg.force and artifacts.stage_is_cached(out, stage, params, inputs, hashes):
+        logger.info("[%s] cached -> %s", stage, out)
+        return StageReport(stage=stage, path=out, cached=True)
     start = time.perf_counter()
     try:
-        compute()
+        compute(out)
     except PipelineError:
         raise
     except (TagrecError, OSError) as exc:
         raise PipelineError(stage, str(exc)) from exc
     elapsed = time.perf_counter() - start
-    artifacts.write_sidecar(out_path, stage, params, inputs, elapsed, hashes)
-    logger.info("[%s] computed in %.2fs -> %s", stage, elapsed, out_path)
-    return StageReport(stage=stage, path=out_path, cached=False, elapsed=elapsed)
+    artifacts.write_sidecar(out, stage, params, inputs, elapsed, hashes)
+    logger.info("[%s] computed in %.2fs -> %s", stage, elapsed, out)
+    return StageReport(stage=stage, path=out, cached=False, elapsed=elapsed)
 
 
-def stage_profiles(cfg: PipelineConfig, hashes: artifacts.FileHashes | None = None) -> StageReport:
-    out = cfg.out_dir / PROFILES_TSV
+def stage_profiles(cfg: PipelineConfig, hashes: artifacts.FileHashes) -> StageReport:
     return _run_stage(
+        cfg,
+        hashes,
         "profiles",
-        out,
+        PROFILES_TSV,
         params={"bigram_floor": cfg.bigram_floor},
         inputs={"users": cfg.users, "lexicon": cfg.lexicon, "bigrams": cfg.bigrams},
-        compute=lambda: compute_profiles(cfg.users, cfg.lexicon, cfg.bigrams, cfg.bigram_floor, out),
-        force=cfg.force,
-        hashes=hashes,
+        compute=lambda out: compute_profiles(cfg.users, cfg.lexicon, cfg.bigrams, cfg.bigram_floor, out),
     )
 
 
-def stage_simmatrix(cfg: PipelineConfig, hashes: artifacts.FileHashes | None = None) -> StageReport:
-    out = cfg.out_dir / SIMS_TSV
+def stage_simmatrix(cfg: PipelineConfig, hashes: artifacts.FileHashes) -> StageReport:
     profiles_tsv = cfg.out_dir / PROFILES_TSV
     inputs = {"profiles": profiles_tsv, "synsets": cfg.synsets, "edges": cfg.edges}
     if cfg.counts is not None:
         inputs["counts"] = cfg.counts
     return _run_stage(
+        cfg,
+        hashes,
         "simmatrix",
-        out,
+        SIMS_TSV,
         params={"ic_cap": cfg.ic_cap},
         inputs=inputs,
-        compute=lambda: compute_simmatrix(
+        compute=lambda out: compute_simmatrix(
             profiles_tsv, cfg.synsets, cfg.edges, cfg.counts, cfg.ic_cap, cfg.workers, out
         ),
-        force=cfg.force,
-        hashes=hashes,
     )
 
 
-def stage_cluster(cfg: PipelineConfig, hashes: artifacts.FileHashes | None = None) -> StageReport:
-    out = cfg.out_dir / CLUSTERS_TSV
+def stage_cluster(cfg: PipelineConfig, hashes: artifacts.FileHashes) -> StageReport:
     sims_tsv = cfg.out_dir / SIMS_TSV
     return _run_stage(
+        cfg,
+        hashes,
         "cluster",
-        out,
+        CLUSTERS_TSV,
         params={"k": cfg.k, "seed": cfg.seed, "max_iter": cfg.max_iter},
         inputs={"sims": sims_tsv},
-        compute=lambda: compute_cluster(sims_tsv, cfg.k, cfg.seed, cfg.max_iter, out, hashes),
-        force=cfg.force,
-        hashes=hashes,
+        compute=lambda out: compute_cluster(sims_tsv, cfg.k, cfg.seed, cfg.max_iter, out, hashes),
     )
 
 
-def stage_recommend(cfg: PipelineConfig, hashes: artifacts.FileHashes | None = None) -> StageReport:
-    out = cfg.out_dir / RECOMMENDATIONS_TSV
+def stage_recommend(cfg: PipelineConfig, hashes: artifacts.FileHashes) -> StageReport:
     sims_tsv = cfg.out_dir / SIMS_TSV
     clusters_tsv = cfg.out_dir / CLUSTERS_TSV
     return _run_stage(
+        cfg,
+        hashes,
         "recommend",
-        out,
+        RECOMMENDATIONS_TSV,
         params={"top": cfg.top},
         inputs={"sims": sims_tsv, "clusters": clusters_tsv},
-        compute=lambda: compute_recommendations(sims_tsv, clusters_tsv, cfg.top, out, hashes),
-        force=cfg.force,
-        hashes=hashes,
+        compute=lambda out: compute_recommendations(sims_tsv, clusters_tsv, cfg.top, out, hashes),
     )
 
 
@@ -248,16 +254,15 @@ def run_all(cfg: PipelineConfig) -> list[StageReport]:
 
 # -- config file ---------------------------------------------------------
 
-CONFIG_KEYS = tuple(f.name for f in fields(PipelineConfig) if f.name != "force")
 
-
-def load_config_file(path) -> dict[str, str]:
+def load_config_file(path) -> dict:
     """Parse ``key = value`` lines; ``#`` starts a comment.
 
-    Keys use the CLI flag names with dashes or underscores.  Unknown keys
-    are rejected so typos fail loudly.
+    Keys use the CLI flag names with dashes or underscores, and each value
+    is read as its setting's type in :data:`CONFIG_TYPES`.  Unknown keys
+    and values that do not convert are rejected so typos fail loudly.
     """
-    values: dict[str, str] = {}
+    values = {}
     try:
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
@@ -266,11 +271,15 @@ def load_config_file(path) -> dict[str, str]:
                     continue
                 if "=" not in line:
                     raise PipelineError("config", f"{path}:{line_no}: expected 'key = value'")
-                key, value = line.split("=", 1)
-                key = key.strip().replace("-", "_")
-                if key not in CONFIG_KEYS:
+                key, value = (part.strip() for part in line.split("=", 1))
+                key = key.replace("-", "_")
+                cast = CONFIG_TYPES.get(key)
+                if cast is None:
                     raise PipelineError("config", f"{path}:{line_no}: unknown key {key!r}")
-                values[key] = value.strip()
+                try:
+                    values[key] = cast(value)
+                except ValueError:
+                    raise InputError(f"config key {key!r}: {value!r} is not a valid {cast.__name__}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise PipelineError("config", f"cannot read config file {path}: {exc}") from exc
     return values

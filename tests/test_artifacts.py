@@ -112,8 +112,10 @@ class TestSidecar:
             lambda meta: {**meta, "inputs": {"in": None}},
             lambda meta: {**meta, "inputs": ["in"]},
             lambda meta: {**meta, "inputs": None},
+            # the earlier layout, with each input's path beside its digest
+            lambda meta: {**meta, "inputs": {"in": {"path": meta["input_paths"]["in"], "sha256": meta["inputs"]["in"]}}},
         ],
-        ids=["list", "null", "string", "input string", "input null", "inputs list", "inputs null"],
+        ids=["list", "null", "string", "input string", "input null", "inputs list", "inputs null", "nested inputs"],
     )
     def test_wrong_shape_is_a_miss(self, tmp_path, edit):
         out, inp = tmp_path / "out.tsv", tmp_path / "in.tsv"

@@ -290,6 +290,33 @@ class TestConfigFile:
         assert meta["params"]["k"] == 2
         assert meta["params"]["seed"] == 7
 
+    def test_config_file_and_flags_give_equal_configs(self, users_file, tmp_path, monkeypatch):
+        settings = {
+            "k": 5,
+            "seed": 11,
+            "max_iter": 9,
+            "top": 4,
+            "workers": 2,
+            "bigram_floor": 0.001,
+            "ic_cap": 12.5,
+            "counts": DATA / "taxonomy" / "counts.tsv",
+        }
+        required = ["--users", str(users_file), "--lexicon", str(DATA / "lexicon.txt")]
+        required += ["--bigrams", str(DATA / "bigrams.tsv"), "--synsets", str(DATA / "taxonomy" / "synsets.tsv")]
+        required += ["--edges", str(DATA / "taxonomy" / "edges.tsv"), "--out-dir", str(tmp_path / "out")]
+        configs = []
+        monkeypatch.setattr("tagrec.pipeline.run_all", lambda cfg: configs.append(cfg) or [])
+        config = tmp_path / "pipeline.cfg"
+        config.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()), encoding="utf-8")
+        assert main(["run-all", *required, "--config", str(config)]) == 0
+        flags = [arg for key, value in settings.items() for arg in ("--" + key.replace("_", "-"), str(value))]
+        assert main(["run-all", *required, *flags]) == 0
+        from_file, from_flags = configs
+        assert from_file == from_flags
+        assert {key: getattr(from_file, key) for key in settings} == settings
+        for key, value in settings.items():
+            assert type(getattr(from_file, key)) is type(value), key
+
     def test_unknown_key_rejected(self, tmp_path):
         config = tmp_path / "bad.cfg"
         config.write_text("mystery = 1\n", encoding="utf-8")
@@ -304,7 +331,15 @@ class TestConfigFile:
 class TestCliErrors:
     @pytest.mark.parametrize(
         "case",
-        ["config value", "missing input", "profiles out", "segment out", "config not utf-8", "segment in not utf-8"],
+        [
+            "config value",
+            "missing input",
+            "profiles out",
+            "segment out",
+            "config not utf-8",
+            "segment in not utf-8",
+            "cluster empty sims",
+        ],
     )
     def test_failure_is_an_error_line(self, case, users_file, tmp_path, capsys):
         corpus = ["--lexicon", str(DATA / "lexicon.txt"), "--bigrams", str(DATA / "bigrams.tsv")]
@@ -318,8 +353,10 @@ class TestCliErrors:
         undecodable_tags.write_bytes(b"#chef\n#foo\xe9\n")
         blocker = tmp_path / "blocker"  # a file where a directory is needed
         blocker.write_text("", encoding="utf-8")
+        empty_sims = tmp_path / "empty.tsv"  # reads as a matrix of no ids
+        empty_sims.write_text("", encoding="utf-8")
         argv, message = {
-            "config value": (["run-all", "--config", str(config)], "error:"),
+            "config value": (["run-all", "--config", str(config)], "error: config key 'k': 'abc' is not a valid int\n"),
             "missing input": (["segment", *corpus, "--in", str(tmp_path / "missing.txt")], "error:"),
             "profiles out": (
                 ["profiles", *corpus, "--in", str(users_file), "--out", str(blocker / "p.tsv")],
@@ -333,6 +370,10 @@ class TestCliErrors:
             "segment in not utf-8": (
                 ["segment", *corpus, "--in", str(undecodable_tags)],
                 f"error: cannot read hashtags {undecodable_tags}: ",
+            ),
+            "cluster empty sims": (
+                ["cluster", "--sims", str(empty_sims), "--k", "2", "--out", str(tmp_path / "c.tsv")],
+                f"error: {empty_sims} holds no pair rows\n",
             ),
         }[case]
         assert main(argv) == 1
@@ -384,6 +425,27 @@ class TestRecommendCommand:
             ]
         )
         assert code == 1
+
+    def test_target_and_all_are_exclusive(self, users_file, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        main(base_args(users_file, out_dir))
+        capsys.readouterr()
+        out = tmp_path / "recs.tsv"
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "recommend",
+                    "--clusters", str(out_dir / "clusters.tsv"),
+                    "--sims", str(out_dir / "sims.tsv"),
+                    "--target", "a1",
+                    "--all",
+                    "--top", "2",
+                    "--out", str(out),
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def api_config(users_file, out_dir) -> PipelineConfig:
@@ -438,6 +500,13 @@ class TestRunAllApi:
         assert not reports[0].cached
         assert "band" in (cfg.out_dir / "profiles.tsv").read_text(encoding="utf-8").splitlines()[0].split()
 
+    def test_moved_input_with_same_bytes_stays_cached(self, users_file, tmp_path):
+        cfg = api_config(users_file, tmp_path / "out")
+        run_all(cfg)
+        cfg.users = tmp_path / "moved" / "users.tsv"
+        cfg.users.parent.mkdir()
+        cfg.users.write_bytes(users_file.read_bytes())
+        assert all(r.cached for r in run_all(cfg))
 
     def test_sims_parsed_once_per_computing_run(self, users_file, tmp_path, monkeypatch):
         cfg = api_config(users_file, tmp_path / "out")
