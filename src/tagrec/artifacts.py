@@ -24,7 +24,13 @@ again by a row loop, which names the first bad row in its error.
 
 One pipeline run keeps one :class:`FileHashes`: it hashes each file
 version once and parses each ``sims.tsv`` version once, so the stages
-after the first reader reuse the parsed matrix.
+after the first reader reuse the parsed matrix.  The trust rule: a
+``sims.tsv`` version whose sha256 this run's :func:`stage_is_cached` has
+just matched to its sidecar is read ``trusted``, decoded without the
+re-rendering, since the digest already proves every byte.  Trust lives
+in that one run's memo, keyed by the file's stat; every other read (a
+cold run, ``--force``, a digest mismatch, the stand-alone commands)
+re-renders.
 """
 
 from __future__ import annotations
@@ -130,8 +136,9 @@ def code_sha256() -> str:
 
 class FileHashes:
     """Per-run memo of what is derived from a file's bytes: each file's
-    :func:`sha256_file` digest, and each ``sims.tsv`` parsed by
-    :func:`read_sims_tsv` (both called through this module's globals).
+    :func:`sha256_file` digest, each ``sims.tsv`` parsed by
+    :func:`read_sims_tsv` (both called through this module's globals),
+    and the versions whose digest matched a sidecar's (:meth:`matches`).
 
     An entry is reused while the file's path, device, inode, size and
     mtime are the same.  One pipeline run keeps one memo: a stage replaces
@@ -143,25 +150,39 @@ class FileHashes:
     def __init__(self):
         self._digests: dict[tuple, str] = {}
         self._matrices: dict[tuple, SimilarityMatrix] = {}
+        self._proved: set[tuple] = set()
 
     @staticmethod
     def _key(path) -> tuple:
         st = os.stat(path)
         return (os.fspath(path), st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
 
-    def __call__(self, path) -> str:
-        key = self._key(path)
+    def _digest(self, key: tuple, path) -> str:
         digest = self._digests.get(key)
         if digest is None:
             digest = self._digests[key] = sha256_file(path)
         return digest
 
+    def __call__(self, path) -> str:
+        return self._digest(self._key(path), path)
+
+    def matches(self, path, digest) -> bool:
+        """Whether the file at ``path`` has the sha256 ``digest``.  A match
+        marks this version of the file as proved, for :meth:`sims`."""
+        key = self._key(path)
+        if self._digest(key, path) != digest:
+            return False
+        self._proved.add(key)
+        return True
+
     def sims(self, path) -> SimilarityMatrix:
-        """The matrix of ``sims.tsv`` at ``path``, parsed once per version."""
+        """The matrix of ``sims.tsv`` at ``path``, parsed once per version,
+        and read with ``trusted`` when :meth:`matches` proved that version
+        in this run."""
         key = self._key(path)
         matrix = self._matrices.get(key)
         if matrix is None:
-            matrix = self._matrices[key] = read_sims_tsv(path)
+            matrix = self._matrices[key] = read_sims_tsv(path, trusted=key in self._proved)
         return matrix
 
 
@@ -202,14 +223,16 @@ def stage_is_cached(artifact_path, stage: str, params: dict, inputs: dict, hashe
     """Whether the sidecar of ``artifact_path`` holds every field of
     :func:`_sidecar` and the artifact's digest.  A missing artifact or
     input, and a sidecar that is missing, unreadable or of another shape,
-    are a miss, not an error."""
+    are a miss, not an error.  A hit proves the artifact's version in
+    ``hashes`` (:meth:`FileHashes.matches`): it holds the bytes the stage
+    wrote when it wrote that sidecar."""
     hashes = hashes or FileHashes()
     try:
         meta = json.loads(sidecar_path(artifact_path).read_text(encoding="utf-8"))
         return (
             isinstance(meta, dict)
             and all(meta.get(key) == value for key, value in _sidecar(stage, params, inputs, hashes).items())
-            and meta.get("output_sha256") == hashes(artifact_path)
+            and hashes.matches(artifact_path, meta.get("output_sha256"))
         )
     except (OSError, ValueError):  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         return False
@@ -269,7 +292,7 @@ SIMS_READ_BLOCK = 1 << 16  # most bytes of rows in one group of sims.tsv, writte
 _MICROS = np.array([1e6, 0, 1e5, 1e4, 1e3, 100, 10, 1])  # place value of each byte of a "D.DDDDDD" cell
 
 
-def read_sims_tsv(path) -> SimilarityMatrix:
+def read_sims_tsv(path, *, trusted: bool = False) -> SimilarityMatrix:
     """Rebuild a :class:`SimilarityMatrix` from its TSV.
 
     Rows must come in storage order, the order of
@@ -283,18 +306,28 @@ def read_sims_tsv(path) -> SimilarityMatrix:
     those ids and values.  The file must end after the last group.
     Beyond the matrix, it holds one group and its numpy temporaries.
 
-    Every other file is read again from the start by the row loop
-    :func:`_read_sims_rows`.  It loads other number forms, a missing final
-    newline, CRLF line ends and blank lines, and names the first bad row
-    in its :class:`ParseError`.
+    ``trusted`` is for a file whose sha256 this run has just matched to
+    the sidecar that :func:`write_sims_tsv`'s stage wrote beside it
+    (:meth:`FileHashes.sims`).  That digest covers every byte, so the
+    fast path skips only the re-rendering; it still checks each group's
+    size, newline count and first cell's place, that no cell exceeds 1,
+    and that the file ends after the last group.  Any value it decodes
+    is in [0, 1].
+
+    Every other file, or a trusted one that fails those checks (which
+    the re-rendering path would fail too), is read again from the start
+    by the row loop :func:`_read_sims_rows`.  It loads other number
+    forms, a missing final newline, CRLF line ends and blank lines, and
+    names the first bad row in its :class:`ParseError`.
     """
-    matrix = _read_sims_written(path)
+    matrix = _read_sims_written(path, trusted)
     return _read_sims_rows(path) if matrix is None else matrix
 
 
-def _read_sims_written(path) -> SimilarityMatrix | None:
+def _read_sims_written(path, trusted: bool) -> SimilarityMatrix | None:
     """The fast path of :func:`read_sims_tsv`; ``None`` for any file
-    that :func:`write_sims_tsv` would not write byte for byte."""
+    that :func:`write_sims_tsv` would not write byte for byte (unless
+    ``trusted`` skips the re-rendering)."""
     try:
         with open(path, "rb") as fh:
             encoded = _first_id_pairs(fh)
@@ -303,7 +336,7 @@ def _read_sims_written(path) -> SimilarityMatrix | None:
                 return None
             n = len(encoded)
             matrix = SimilarityMatrix([pid.decode() for pid in encoded], np.empty(n * (n - 1) // 2, dtype=np.float32))
-            if not _read_groups(fh, encoded, matrix.condensed):
+            if not _read_groups(fh, encoded, matrix.condensed, trusted):
                 return None
             return None if fh.read(1) else matrix
     except (OSError, UnicodeDecodeError):
@@ -357,10 +390,11 @@ def _id_groups(encoded: list[bytes]) -> list[tuple[range, slice, int]]:
     ]
 
 
-def _read_groups(fh, encoded: list[bytes], condensed: np.ndarray) -> bool:
+def _read_groups(fh, encoded: list[bytes], condensed: np.ndarray, trusted: bool) -> bool:
     """Read the rows of ``encoded`` from the start of ``fh`` into
     ``condensed``, in the groups of :func:`_id_groups`; ``False`` at the
-    first group that is not what :func:`_sims_rows` renders."""
+    first group that is not what :func:`_sims_rows` renders, or with
+    ``trusted``, at the first that fails the checks before that one."""
     fh.seek(0)
     for ids, pairs, size in _id_groups(encoded):
         block = fh.read(size)
@@ -370,11 +404,11 @@ def _read_groups(fh, encoded: list[bytes], condensed: np.ndarray) -> bool:
         if len(block) != size or ends.size != pairs.stop - pairs.start or ends[0] < 8:
             return False
         cells = sliding_window_view(data, 8)[ends - 8]
-        micros = (cells - np.uint8(ord("0"))) @ _MICROS  # any bytes decode; the re-rendering keeps only digits
+        micros = (cells - np.uint8(ord("0"))) @ _MICROS  # any bytes decode, to >= 0; the re-rendering keeps only digits
         if micros.max() > 1_000_000:  # format_sims refuses a value above 1
             return False
         condensed[pairs] = micros / 1e6
-        if _sims_rows(encoded, ids, condensed[pairs]) != block:
+        if not trusted and _sims_rows(encoded, ids, condensed[pairs]) != block:
             return False
     return True
 
@@ -464,14 +498,14 @@ def read_clusters_tsv(path) -> Clustering:
 
 
 def recommendation_lines(recommendations) -> list[str]:
-    """``target<TAB>rank<TAB>candidate<TAB>sim`` lines, rank starting at 1."""
-    rows = [
-        (rec.target, rank, candidate, sim)
+    """``target<TAB>rank<TAB>candidate<TAB>sim`` lines, rank starting at 1,
+    with every similarity formatted in one :func:`format_sims` call."""
+    tails = iter(format_sims([sim for rec in recommendations for _, sim in rec.items]).astype("U10").tolist())
+    return [
+        f"{rec.target}\t{rank}\t{candidate}{next(tails)}"
         for rec in recommendations
-        for rank, (candidate, sim) in enumerate(rec.items, start=1)
+        for rank, (candidate, _) in enumerate(rec.items, start=1)
     ]
-    tails = format_sims([sim for *_, sim in rows]).astype("U10").tolist()
-    return [f"{target}\t{rank}\t{candidate}{tail}" for (target, rank, candidate, _), tail in zip(rows, tails)]
 
 
 def write_recommendations_tsv(path, recommendations) -> None:

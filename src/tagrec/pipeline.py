@@ -242,7 +242,9 @@ def run_all(cfg: PipelineConfig) -> list[StageReport]:
     The stages share one :class:`~tagrec.artifacts.FileHashes`, so each
     file version is hashed once per run and ``sims.tsv`` is parsed at most
     once: by the cluster stage when it runs (in a cold run, the file the
-    simmatrix stage just wrote), and reused by the recommend stage.
+    simmatrix stage just wrote), and reused by the recommend stage.  In a
+    retune, the simmatrix stage's cache hit proves the file's digest, so
+    that read skips the re-rendering check (``trusted``).
     """
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     hashes = artifacts.FileHashes()

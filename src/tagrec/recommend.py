@@ -2,11 +2,16 @@
 
 A target's candidates are the other members of its own cluster, ordered
 by similarity descending, ties by id ascending, at most ``top_k`` of
-them.  Both entry points rank a row of similarities from the target to
-its cluster's members, with the members in id order, by one stable sort
-on the negated similarities: :func:`recommend` gathers one such row,
-:func:`recommend_all` gathers each cluster's float32 block of the matrix
-once and ranks every member's row of it.
+them.  Both entry points rank rows of similarities from targets to their
+cluster's members, with the members in id order, in one place
+(:func:`_ranked`): one stable sort along the rows of the negated block.
+:func:`recommend` gathers one such row, :func:`recommend_all` each
+cluster's float32 block of the matrix, once.
+
+The matrix may come from a ``sims.tsv`` read ``trusted``, without the
+re-rendering, because the run had just matched its digest (see
+:mod:`tagrec.artifacts`).  Its values are in [0, 1] either way, so every
+candidate's negated similarity sorts before the target's own +inf cell.
 """
 
 from __future__ import annotations
@@ -37,14 +42,20 @@ def _in_id_order(members, matrix: SimilarityMatrix) -> tuple[list[str], np.ndarr
     return members, np.array([matrix.index(pid) for pid in members], dtype=np.intp)
 
 
-def _ranked(members: list[str], pos: int, row: np.ndarray, top_k: int) -> Recommendation:
-    """The recommendation for ``members[pos]`` from ``row``, its float32
-    similarities to every member of its cluster in id order."""
-    order = np.argsort(-row, kind="stable")  # stable: equal similarities stay in id order
-    order = order[order != pos][:top_k]
-    return Recommendation(
-        target=members[pos], items=tuple(zip([members[i] for i in order.tolist()], row[order].tolist()))
-    )
+def _ranked(members: list[str], positions, block: np.ndarray, top_k: int) -> list[Recommendation]:
+    """The recommendations for ``members[p]`` for each ``p`` in
+    ``positions``, from ``block``, whose rows hold those targets' float32
+    similarities to every member of their cluster in id order.  ``block``
+    is overwritten."""
+    np.negative(block, out=block)
+    block[np.arange(len(positions)), positions] = np.inf  # each target sorts after its candidates
+    # stable, so ties stay in id order; the copy frees the rest of the sort
+    order = np.argsort(block, axis=1, kind="stable")[:, : min(top_k, len(members) - 1)].copy()
+    sims = np.negative(np.take_along_axis(block, order, axis=1))  # -(-0.0) is +0.0
+    return [
+        Recommendation(target=members[p], items=tuple(zip([members[i] for i in cands], values)))
+        for p, cands, values in zip(positions, order.tolist(), sims.tolist())
+    ]
 
 
 def recommend(target: str, clustering: Clustering, matrix: SimilarityMatrix, top_k: int) -> Recommendation:
@@ -60,7 +71,7 @@ def recommend(target: str, clustering: Clustering, matrix: SimilarityMatrix, top
     cluster = clustering.assignment[target]
     members, idx = _in_id_order((pid for pid, c in clustering.assignment.items() if c == cluster), matrix)
     pos = members.index(target)
-    return _ranked(members, pos, matrix.block(idx[pos : pos + 1], idx)[0], top_k)
+    return _ranked(members, [pos], matrix.block(idx[pos : pos + 1], idx), top_k)[0]
 
 
 def recommend_all(clustering: Clustering, matrix: SimilarityMatrix, top_k: int) -> list[Recommendation]:
@@ -79,7 +90,5 @@ def recommend_all(clustering: Clustering, matrix: SimilarityMatrix, top_k: int) 
     recs: dict[str, Recommendation] = {}
     for cluster in clusters:
         members, idx = _in_id_order(cluster, matrix)
-        block = matrix.block(idx, idx)
-        for pos, pid in enumerate(members):
-            recs[pid] = _ranked(members, pos, block[pos], top_k)
+        recs.update(zip(members, _ranked(members, range(len(members)), matrix.block(idx, idx), top_k)))
     return [recs[pid] for pid in matrix.ids]

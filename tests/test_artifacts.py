@@ -1,9 +1,11 @@
 """Artifact IO: atomic writes, sidecars, and reader validation."""
 
+import functools
 import gc
+import importlib
 import json
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ from conftest import square, two_blob_matrix
 from test_acceptance import make_synthetic_users
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+PIPEBENCH = DATA.parent / "pipebench"
 
 
 class TestAtomicWrite:
@@ -629,9 +632,9 @@ class TestSimsMemo:
         parsed = []
         read_sims_tsv = artifacts.read_sims_tsv
 
-        def counted(p):
-            parsed.append(p)
-            return read_sims_tsv(p)
+        def counted(p, **kwargs):
+            parsed.append((p, kwargs))
+            return read_sims_tsv(p, **kwargs)
 
         monkeypatch.setattr(artifacts, "read_sims_tsv", counted)
         memo = artifacts.FileHashes()
@@ -641,7 +644,78 @@ class TestSimsMemo:
         artifacts.write_sims_tsv(path, two_blob_matrix().scaled(0.5))
         second = memo.sims(path)
         assert len(parsed) == 2
+        # no digest was matched, so both reads re-render
+        assert parsed == [(path, {"trusted": False})] * 2
         assert np.array_equal(second.condensed, first.condensed * np.float32(0.5))
+
+
+def first_rows_ids(text: bytes) -> list[str]:
+    """The ids that the first id's rows of a ``sims.tsv`` text name."""
+    rows = [line.split(b"\t") for line in text.splitlines()]
+    first = rows[0][0]
+    return [pid.decode() for pid in [first] + [row[1] for row in takewhile(lambda row: row[0] == first, rows)]]
+
+
+class TestTrustedRead:
+    """``read_sims_tsv(path, trusted=True)``, for a file whose digest the
+    run has matched to its sidecar, skips only the re-rendering."""
+
+    @staticmethod
+    def written_sims(tmp_path, write_users) -> Path:
+        """``sims.tsv`` of the users file that ``write_users(path)`` writes."""
+        users, profiles, sims = tmp_path / "users.tsv", tmp_path / "profiles.tsv", tmp_path / "sims.tsv"
+        write_users(users)
+        compute_profiles(users, DATA / "lexicon.txt", DATA / "bigrams.tsv", DEFAULT_FLOOR_PROB, profiles)
+        taxonomy = DATA / "taxonomy"
+        tax_files = (taxonomy / "synsets.tsv", taxonomy / "edges.tsv", taxonomy / "counts.tsv")
+        compute_simmatrix(profiles, *tax_files, DEFAULT_IC_CAP, 1, sims)
+        return sims
+
+    @staticmethod
+    def assert_equals_checked_read(path, monkeypatch):
+        checked = artifacts.read_sims_tsv(path)
+
+        def refused(*args):
+            raise AssertionError("the trusted read re-rendered or left the fast path")
+
+        monkeypatch.setattr(artifacts, "_sims_rows", refused)
+        monkeypatch.setattr(artifacts, "_read_sims_rows", refused)
+        trusted = artifacts.read_sims_tsv(path, trusted=True)
+        assert trusted.ids == checked.ids
+        assert np.array_equal(trusted.condensed, checked.condensed)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("workload", ["pools", "phrases", "openvocab"])
+    def test_benchmark_workloads(self, tmp_path, monkeypatch, workload, seed):
+        monkeypatch.syspath_prepend(str(PIPEBENCH))
+        workloads = importlib.import_module("workloads")
+        write = functools.partial(workloads.write_users, workloads.WORKLOADS[workload], seed, DATA / "lexicon.txt")
+        self.assert_equals_checked_read(self.written_sims(tmp_path, write), monkeypatch)
+
+    def test_acceptance_users(self, tmp_path, monkeypatch):
+        self.assert_equals_checked_read(self.written_sims(tmp_path, make_synthetic_users), monkeypatch)
+
+    @pytest.mark.parametrize("block", [16, 64, 1 << 16])
+    def test_mutations_stay_in_range(self, tmp_path, monkeypatch, block):
+        # What a forged sidecar can make the trusted read accept: the rows of
+        # the ids that the first id's rows name, each value in [0, 1].
+        monkeypatch.setattr(artifacts, "SIMS_READ_BLOCK", block)
+        path = tmp_path / "sims.tsv"
+        artifacts.write_sims_tsv(path, micros_matrix(PREFIX_IDS))
+        lines = path.read_bytes().splitlines(keepends=True)
+        trusted_read = functools.partial(artifacts.read_sims_tsv, trusted=True)
+        accepted = 0
+        for name, text in TestSimsBlockReader.mutations(lines):
+            path.write_bytes(text)
+            outcome = read_outcome(trusted_read, path)
+            if outcome == read_outcome(artifacts.read_sims_tsv, path):
+                continue
+            accepted += 1
+            ids, condensed = outcome
+            values = np.frombuffer(condensed, dtype=np.float32)
+            assert ids == first_rows_ids(text) and len(ids) == len(PREFIX_IDS), name
+            assert np.isfinite(values).all() and values.min() >= 0 and values.max() <= 1, name
+        assert accepted  # swapped or respelled ids after the first id's rows
 
 
 class TestProfilesRoundTrip:

@@ -513,20 +513,52 @@ class TestRunAllApi:
         parsed = []
         read_sims_tsv = artifacts.read_sims_tsv
 
-        def counted(path):
-            parsed.append(path)
-            return read_sims_tsv(path)
+        def counted(path, **kwargs):
+            parsed.append((path, kwargs))
+            return read_sims_tsv(path, **kwargs)
 
         monkeypatch.setattr(artifacts, "read_sims_tsv", counted)
         cold = run_all(cfg)
         assert [r.cached for r in cold] == [False] * 4
-        assert parsed == [cfg.out_dir / "sims.tsv"]
+        # the cold run checks the file it wrote against the writer's renderer
+        assert parsed == [(cfg.out_dir / "sims.tsv", {"trusted": False})]
         cfg.k, cfg.seed = 3, 8
         retune = run_all(cfg)
         assert [r.cached for r in retune] == [True, True, False, False]
         assert len(parsed) == 2
+        # the retune's simmatrix cache check matched the file's digest
+        assert parsed[1] == (cfg.out_dir / "sims.tsv", {"trusted": True})
         assert all(r.cached for r in run_all(cfg))
         assert len(parsed) == 2
+
+    def test_sims_rewritten_between_runs_is_not_trusted(self, users_file, tmp_path, monkeypatch):
+        cfg = api_config(users_file, tmp_path / "out")
+        sims = cfg.out_dir / "sims.tsv"
+        parsed = []
+        read_sims_tsv = artifacts.read_sims_tsv
+
+        def counted(path, **kwargs):
+            parsed.append(kwargs["trusted"])
+            return read_sims_tsv(path, **kwargs)
+
+        monkeypatch.setattr(artifacts, "read_sims_tsv", counted)
+        run_all(cfg)
+        cfg.k, cfg.seed = 3, 8
+        run_all(cfg)
+        assert parsed == [False, True]  # this file version was proved, in that run
+        # other bytes of the same size, same inode and the same mtime: the stat key of the proved version
+        before = sims.stat()
+        text = sims.read_bytes()
+        last = text.index(b"\n") - 1  # the first cell's last digit
+        sims.write_bytes(text[:last] + (b"1" if text[last : last + 1] == b"0" else b"0") + text[last + 1 :])
+        os.utime(sims, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = sims.stat()
+        assert (after.st_ino, after.st_size, after.st_mtime_ns) == (before.st_ino, before.st_size, before.st_mtime_ns)
+        cfg.k, cfg.seed = 2, 7
+        reports = run_all(cfg)
+        assert [r.cached for r in reports] == [True, False, False, False]
+        assert parsed == [False, True, False]
+        assert sims.read_bytes() == text
 
     def test_edited_code_digest_recomputes_stage(self, users_file, tmp_path):
         cfg = api_config(users_file, tmp_path / "out")

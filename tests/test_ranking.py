@@ -55,3 +55,27 @@ def test_one_profile():
     matrix = SimilarityMatrix(["solo"], np.zeros(0, dtype=np.float32))
     clustering = Clustering(k=1, medoids=("solo",), assignment={"solo": 0})
     assert recommend_all(clustering, matrix, 5) == [Recommendation(target="solo", items=())]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("top_k", [1, 2, 5, 12])
+def test_one_target_and_whole_clusters_rank_alike(seed, top_k):
+    # three levels, so most candidates tie; clusters of sizes 1, 2 and up to
+    # 12, so top_k reaches and passes the cluster size
+    rng = np.random.default_rng(seed)
+    sizes = [1, 2, 1, 2, 5, 12]
+    ids = [f"q{i:02d}" for i in rng.permutation(sum(sizes))]
+    condensed = (rng.integers(0, 3, len(ids) * (len(ids) - 1) // 2) / 2).astype(np.float32)
+    matrix = SimilarityMatrix(ids, condensed)
+    clusters = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    assignment = {pid: int(c) for pid, c in zip(ids, clusters)}
+    medoids = tuple(next(pid for pid in ids if assignment[pid] == c) for c in range(len(sizes)))
+    clustering = Clustering(k=len(sizes), medoids=medoids, assignment=assignment)
+    recs = recommend_all(clustering, matrix, top_k)
+    assert recs == [recommend(pid, clustering, matrix, top_k) for pid in ids]
+    assert recs == sorted_per_target(clustering, matrix, top_k)
+    for rec in recs:
+        assert len(rec.items) == min(top_k, sizes[assignment[rec.target]] - 1)
+    sims = [sim for rec in recs for _, sim in rec.items]
+    assert not any(np.signbit(sims))  # a zero similarity comes back as +0.0
+    assert top_k < 12 or 0.0 in sims
