@@ -1,4 +1,10 @@
-"""Command-line interface: one subcommand per pipeline stage plus run-all."""
+"""Command-line interface: one subcommand per pipeline stage plus run-all.
+
+The parser needs only :mod:`tagrec.config`, so ``tagrec --help`` and
+argument errors load no numpy.  Each command imports its stage modules
+when it runs; those that use the pipeline import it as a module, so
+names patched on ``tagrec.pipeline`` take effect.
+"""
 
 from __future__ import annotations
 
@@ -8,11 +14,8 @@ import sys
 from contextlib import nullcontext
 from dataclasses import MISSING, fields
 
-from tagrec import pipeline
-from tagrec.corpus import DEFAULT_FLOOR_PROB, load_bigrams, load_lexicon
+from tagrec.config import CONFIG_TYPES, DEFAULT_FLOOR_PROB, DEFAULT_IC_CAP, PipelineConfig, load_config_file
 from tagrec.errors import InputError, ResourceError, TagrecError
-from tagrec.segmenter import SegmentStatus, evaluate_segmenter, load_golden, segment_all
-from tagrec.taxonomy import DEFAULT_IC_CAP
 
 logger = logging.getLogger("tagrec")
 
@@ -39,21 +42,30 @@ def _open_out(path):
 
 
 def _cmd_segment(args) -> int:
+    from tagrec.corpus import load_bigrams, load_lexicon
+    from tagrec.segmenter import SegmentStatus, segment_all
+
     lexicon = load_lexicon(args.lexicon)
     bigrams = load_bigrams(args.bigrams, floor_prob=args.bigram_floor)
     source = open(args.infile, encoding="utf-8") if args.infile else nullcontext(sys.stdin)
+    # The whole input is decoded before --out is opened, so unreadable input leaves it as it was.
     try:
-        with source as lines, _open_out(args.out) as out:
-            for result in segment_all(list(filter(None, map(str.strip, lines))), lexicon, bigrams):
-                if result.status is SegmentStatus.INVALID:
-                    logger.warning("rejected hashtag %r", result.hashtag.raw)
-                print(f"{result.hashtag.raw}\t{result.status.value}\t{' '.join(result.tokens)}", file=out)
-    except UnicodeDecodeError as exc:  # only reading the input decodes
+        with source as lines:
+            hashtags = list(filter(None, map(str.strip, lines)))
+    except UnicodeDecodeError as exc:
         raise ResourceError(f"cannot read hashtags {args.infile or '<stdin>'}: {exc}") from exc
+    with _open_out(args.out) as out:
+        for result in segment_all(hashtags, lexicon, bigrams):
+            if result.status is SegmentStatus.INVALID:
+                logger.warning("rejected hashtag %r", result.hashtag.raw)
+            print(f"{result.hashtag.raw}\t{result.status.value}\t{' '.join(result.tokens)}", file=out)
     return 0
 
 
 def _cmd_evaluate(args) -> int:
+    from tagrec.corpus import load_bigrams, load_lexicon
+    from tagrec.segmenter import evaluate_segmenter, load_golden
+
     lexicon = load_lexicon(args.lexicon)
     bigrams = load_bigrams(args.bigrams, floor_prob=args.bigram_floor)
     golden = load_golden(args.golden)
@@ -67,11 +79,15 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_profiles(args) -> int:
+    from tagrec import pipeline
+
     pipeline.compute_profiles(args.infile, args.lexicon, args.bigrams, args.bigram_floor, args.out)
     return 0
 
 
 def _cmd_simmatrix(args) -> int:
+    from tagrec import pipeline
+
     pipeline.compute_simmatrix(
         args.profiles, args.synsets, args.edges, args.counts, args.ic_cap, args.workers, args.out
     )
@@ -79,6 +95,8 @@ def _cmd_simmatrix(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
+    from tagrec import pipeline
+
     pipeline.compute_cluster(args.sims, args.k, args.seed, args.max_iter, args.out)
     return 0
 
@@ -95,6 +113,7 @@ def _cmd_cluster_stats(args) -> int:
 
 
 def _cmd_recommend(args) -> int:
+    from tagrec import pipeline
     from tagrec.artifacts import recommendation_lines, write_recommendations_tsv
     from tagrec.recommend import recommend, recommend_all
 
@@ -113,12 +132,14 @@ def _cmd_recommend(args) -> int:
 
 
 def _cmd_run_all(args) -> int:
-    values = pipeline.load_config_file(args.config) if args.config else {}
-    values.update((key, getattr(args, key)) for key in pipeline.CONFIG_TYPES if getattr(args, key) is not None)
-    for f in fields(pipeline.PipelineConfig):
+    from tagrec import pipeline
+
+    values = load_config_file(args.config) if args.config else {}
+    values.update((key, getattr(args, key)) for key in CONFIG_TYPES if getattr(args, key) is not None)
+    for f in fields(PipelineConfig):
         if f.default is MISSING and f.name not in values:
             raise InputError(f"run-all needs --{f.name.replace('_', '-')} (flag or config file)")
-    cfg = pipeline.PipelineConfig(**values, force=args.force)
+    cfg = PipelineConfig(**values, force=args.force)
     for report in pipeline.run_all(cfg):
         print(report.line())
     return 0
@@ -156,11 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="k-medoids clustering of the similarity matrix")
     p.add_argument("--sims", required=True, help="similarity TSV from the simmatrix stage")
-    p.add_argument("--k", type=int, default=pipeline.PipelineConfig.k, help="number of clusters")
-    p.add_argument(
-        "--seed", type=int, default=pipeline.PipelineConfig.seed, help="random seed for medoid initialization"
-    )
-    p.add_argument("--max-iter", type=int, default=pipeline.PipelineConfig.max_iter, help="iteration cap")
+    p.add_argument("--k", type=int, default=PipelineConfig.k, help="number of clusters")
+    p.add_argument("--seed", type=int, default=PipelineConfig.seed, help="random seed for medoid initialization")
+    p.add_argument("--max-iter", type=int, default=PipelineConfig.max_iter, help="iteration cap")
     p.add_argument("--out", required=True, help="clusters TSV output")
     p.set_defaults(func=_cmd_cluster)
 
@@ -181,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run-all", help="run the full pipeline with cached stages")
     p.add_argument("--config", default=None, help="key = value config file; flags win")
-    for key, cast in pipeline.CONFIG_TYPES.items():
+    for key, cast in CONFIG_TYPES.items():
         p.add_argument("--" + key.replace("_", "-"), type=cast, default=None)
     p.add_argument("--force", action="store_true", help="recompute even when cached")
     p.set_defaults(func=_cmd_run_all)

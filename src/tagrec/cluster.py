@@ -14,12 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from tagrec.config import DEFAULT_MAX_ITER
 from tagrec.errors import InputError
 from tagrec.matcher import SimilarityMatrix
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_MAX_ITER = 100
 
 
 @dataclass(frozen=True)

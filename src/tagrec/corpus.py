@@ -17,12 +17,11 @@ from typing import Mapping
 
 import numpy as np
 
+from tagrec.config import DEFAULT_FLOOR_PROB
 from tagrec.errors import EmptyResourceError, InputError, ParseError, ResourceError
 from tagrec.tsv import read_rows
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_FLOOR_PROB = 1e-9
 
 _WORD_RE = re.compile(r"[a-z]+\Z")
 

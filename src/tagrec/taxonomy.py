@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from tagrec.config import DEFAULT_IC_CAP
 from tagrec.errors import (
     EmptyResourceError,
     InputError,
@@ -37,11 +38,6 @@ logger = logging.getLogger(__name__)
 
 # Synthetic top node joining all file-level roots; ic is 0 by construction.
 VIRTUAL_ROOT = "<root>"
-
-# Finite stand-in for -ln(0): assigned to synsets whose propagated
-# frequency is zero, and an upper clamp for all ICs so monotonicity along
-# edges survives the stand-in.
-DEFAULT_IC_CAP = 25.0
 
 
 @dataclass(frozen=True)

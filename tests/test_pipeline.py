@@ -120,6 +120,16 @@ class TestSegmentCommand:
         assert [r.getMessage() for r in caplog.records if r.name == "tagrec"] == rejected
         assert len(rejected) == 4
 
+    def test_unreadable_input_leaves_out_file_as_it_was(self, tmp_path, capsys):
+        infile = tmp_path / "latin1.txt"
+        infile.write_bytes(b"#chef\n#foo\xe9\n")
+        out = tmp_path / "out.tsv"
+        out.write_bytes(b"kept\n")
+        argv = ["segment", "--lexicon", str(DATA / "lexicon.txt"), "--bigrams", str(DATA / "bigrams.tsv")]
+        assert main(argv + ["--in", str(infile), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read hashtags {infile}: ")
+        assert out.read_bytes() == b"kept\n"
+
 
 class TestEvaluateCommand:
     def test_reports_success_rate(self, capsys):
