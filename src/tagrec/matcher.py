@@ -10,14 +10,18 @@ depend on argument order, bit for bit.
 Profiles that hold the same word set get the same scores, so the matrix
 build scores each distinct non-empty word set once, in numpy batches:
 
-1. Word table.  A float64 word x word table with one extra sentinel row
-   and column of -1.  With a ``similarity_table`` builder, as the
-   pipeline passes ``Taxonomy.similarity_table``, the builder fills the
-   whole table in one call, for the vocabulary plus one padding word
-   whose row and column then become the sentinel in place, and
-   ``word_sim`` is never called.  Without one, ``word_sim`` is called
+1. Word table.  A float64 table with a row for each word that can score
+   and one extra sentinel row and column of -1; each set holds the rows
+   of its words.  With a ``word_table`` builder, as the pipeline passes
+   ``Taxonomy.word_table``, the builder fills the whole table in one
+   call, for the vocabulary plus one padding word whose row and column
+   then become the sentinel in place, and ``word_sim`` is never called.
+   A word that only one set holds, and that set not scored against
+   itself, never meets a copy of itself; when the taxonomy does not know
+   it either, it scores 0 against every word it meets, so all such words
+   share one row of zeros.  Without a builder, ``word_sim`` is called
    once for each unordered word pair that meets in some grid, and for no
-   other pair, in the calling process.
+   other pair, in the calling process, and every word has its own row.
 2. Greedy rounds.  A set is scored against the later sets (and against
    itself, when two profiles hold it), and the sets are scored in
    contiguous ranges of rows.  A pair of sets with no word similarity
@@ -40,9 +44,12 @@ build scores each distinct non-empty word set once, in numpy batches:
    ``GRID_BYTES`` at most: the rectangle of a block's rows against the
    later profiles, masked to its upper triangle.  Empty profiles score 0.
 
-Besides the grids, the build holds the table, (V + 1)^2 float64 for V
-distinct profile words, ``reach``, D x (V + 1) bool for D distinct word
-sets, and the set x set scores, (D + 1)^2 float32.
+Besides the grids, the build holds the table, (R + 1)^2 float64 for R
+word rows and the sentinel, ``reach``, D x (R + 1) bool for D distinct
+word sets, and the set x set scores, (D + 1)^2 float32.  With the
+taxonomy's builder, R is one row for each word that the taxonomy knows
+or that can meet a copy of itself or a lowercase twin, plus the row of
+zeros; without a builder, R is V, the number of distinct profile words.
 """
 
 from __future__ import annotations
@@ -142,34 +149,44 @@ class _SetScorer:
     ``sets`` are distinct non-empty sorted word tuples in ascending order,
     so set a is the row side of every grid it is scored in.  Only sets
     with ``shared[a]`` true are scored against themselves.  The word table
-    is filled on construction, by ``similarity_table`` when it is given and
-    by asking ``word_sim`` otherwise, and so is ``reach``, a D x (V + 1)
-    bool array for D sets and V words: ``reach[a, v]`` is true when some
-    word of set a has a similarity above 0 to word v.  It is built a few
-    sets at a time, so no (V + 1)^2 copy of the table is held, and once,
-    before any worker is forked.
+    is filled on construction, by ``word_table`` when it is given and by
+    asking ``word_sim`` otherwise.  ``padded`` holds the table row of each
+    set's words, padded with the sentinel's row.  ``reach``, a D x (R + 1)
+    bool array for D sets and a table of R + 1 rows, is built then too:
+    ``reach[a, r]`` is true when some word of set a has a similarity above
+    0 to the words of row r.  It is built a few sets at a time, so no copy
+    of the table is held, and once, before any worker is forked.
     """
 
-    def __init__(self, sets: list[tuple[str, ...]], shared, word_sim, similarity_table=None):
+    def __init__(self, sets: list[tuple[str, ...]], shared, word_sim, word_table=None):
         vocab = sorted(set().union(*sets))
         pos = {w: i for i, w in enumerate(vocab)}
         self.shared = np.asarray(shared, dtype=bool)
         self.lengths = np.array([len(s) for s in sets], dtype=np.intp)
-        # word indices of each set, padded with the sentinel index V
-        self.padded = np.full((len(sets), int(self.lengths.max())), len(vocab), dtype=np.intp)
+        # vocabulary indices of each set, padded with the sentinel index V
+        padded = np.full((len(sets), int(self.lengths.max())), len(vocab), dtype=np.intp)
         for a, s in enumerate(sets):
-            self.padded[a, : len(s)] = [pos[w] for w in s]
-        if similarity_table is None:
-            self.table = _word_table(vocab, self.padded, self.lengths, self.shared, word_sim)
+            padded[a, : len(s)] = [pos[w] for w in s]
+        if word_table is None:
+            rows = np.arange(len(vocab) + 1)
+            self.table = _word_table(vocab, padded, self.lengths, self.shared, word_sim)
         else:
-            # Asking for one word more makes the builder's array the bordered
-            # table itself, with no second V x V copy.
-            self.table = similarity_table([*vocab, ""])
-            self.table[-1, :] = -1.0
-            self.table[:, -1] = -1.0
-        # Cells no scored grid holds are -1, and so is the sentinel row and
+            # A word meets a copy of itself only when two sets hold it or a
+            # shared set does; any other word's own cell is never read.
+            in_shared = np.zeros(len(vocab) + 1, dtype=bool)
+            in_shared[padded[self.shared]] = True
+            alone = (np.bincount(padded.ravel(), minlength=len(vocab) + 1) == 1) & ~in_shared
+            # Asking for one word more, not alone, gives the sentinel a row of
+            # its own in the builder's array, so the bordered table needs no copy.
+            alone[-1] = False
+            rows, self.table = word_table([*vocab, ""], alone)
+            self.table[rows[-1], :] = -1.0
+            self.table[:, rows[-1]] = -1.0
+        # table rows of each set's words, padded with the sentinel's row
+        self.padded = rows[padded]
+        # Cells no scored grid holds may be -1, and so is the sentinel row and
         # column.  Each gather of table rows is at most the size of reach.
-        self.reach = np.empty((len(sets), len(vocab) + 1), dtype=bool)
+        self.reach = np.empty((len(sets), len(self.table)), dtype=bool)
         step = max(1, self.reach.nbytes // (self.padded.shape[1] * self.table[0].nbytes))
         for lo in range(0, len(sets), step):
             (self.table[self.padded[lo : lo + step]] > 0).any(axis=1, out=self.reach[lo : lo + step])
@@ -354,16 +371,21 @@ def _scored_chunks(scorer: _SetScorer, chunks, workers: int):
 
 
 def build_similarity_matrix(
-    profiles, word_sim, workers: int = 1, progress=None, *, similarity_table=None
+    profiles, word_sim, workers: int = 1, progress=None, *, word_table=None
 ) -> SimilarityMatrix:
     """Compute all N*(N-1)/2 profile similarities.
 
     Each distinct non-empty word set is scored once against every later
     one, and against itself when two profiles hold it; see the module
     docstring for the three steps and the memory they take.  The word
-    table comes from ``similarity_table`` when it is given: a function
-    from a word list to the (V, V) float64 array of ``word_sim`` over it,
-    called once, and ``word_sim`` itself is not called.  Otherwise
+    table comes from ``word_table`` when it is given, called once as
+    ``word_table(words, alone)``, and ``word_sim`` itself is not called.
+    It returns ``(rows, table)``, a float64 table and the row of each word
+    in it, with ``table[rows[i], rows[j]] == word_sim(words[i],
+    words[j])`` for every ``i != j``, and for ``i == j`` unless
+    ``alone[i]``, which marks a word whose own cell no grid reads, as
+    :meth:`Taxonomy.word_table <tagrec.taxonomy.Taxonomy.word_table>`
+    does.  Otherwise
     ``word_sim`` is called only in this process, before any scoring, once
     for each unordered word pair that some scored grid holds.  With
     ``workers > 1``, forked processes score contiguous ranges of distinct
@@ -393,7 +415,7 @@ def build_similarity_matrix(
     scores = np.zeros((d + 1, d + 1), dtype=np.float32)
     if d:
         mult = np.array([counts[s] for s in sets], dtype=np.int64)
-        scorer = _SetScorer(sets, mult > 1, word_sim, similarity_table)
+        scorer = _SetScorer(sets, mult > 1, word_sim, word_table)
         # profile pairs whose score each set row settles, for progress
         settled = mult * (mult.sum() - np.cumsum(mult)) + mult * (mult - 1) // 2
         done = 0
@@ -406,6 +428,7 @@ def build_similarity_matrix(
             done += int(settled[lo:hi].sum())
             if progress is not None:
                 progress(done, total_pairs)
+        del scorer  # the gather below needs no word table
         logger.info(
             "matcher: %d distinct set pairs, %d settled at 0 with no cell above 0, "
             "%d grids left their rounds early, %d greedy batches",

@@ -62,7 +62,7 @@ def compute_simmatrix(
         taxonomy.word_similarity,
         workers=workers,
         progress=progress,
-        similarity_table=taxonomy.similarity_table,
+        word_table=taxonomy.word_table,
     )
     artifacts.write_sims_tsv(out_path, matrix)
 

@@ -5,8 +5,9 @@ of a concept's propagated frequency share, where each observation of a
 concept also counts toward every ancestor.  Word similarity takes the
 best score over all sense pairs of the normalized shared-information
 measure (twice the most informative common ancestor over the summed
-concept ICs).  :meth:`Taxonomy.similarity_table` computes the same
-scores for a whole word list at once, in numpy.
+concept ICs).  :meth:`Taxonomy.word_table` computes the same scores for
+a whole word list at once, in numpy, with one row for each word that
+can score and one shared row of zeros for the rest.
 
 The constructor walks the is-a DAG once, with Kahn's algorithm from the
 roots down: a synset is closed once all its parents are, and its ancestor
@@ -180,21 +181,36 @@ class Taxonomy:
             return 0.0
         return max(self.lin(s1, s2) for s1 in senses1 for s2 in senses2)
 
-    def similarity_table(self, words) -> np.ndarray:
-        """``word_similarity`` of every pair of ``words``, as a (V, V) float64 array.
+    def word_table(self, words, alone) -> tuple[np.ndarray, np.ndarray]:
+        """``word_similarity`` over ``words`` as ``(rows, table)``, with a
+        table row only for each word that can score.
+
+        ``table[rows[i], rows[j]]`` equals ``word_similarity(words[i],
+        words[j])`` for every ``i != j``, and for ``i == j`` unless
+        ``alone[i]``, which marks a word that never meets a copy of itself.
+        A word has a row of its own when the taxonomy knows it, when its
+        lowercase form occurs more than once (equal lowercased words score
+        1) or when it is not alone.  Every other word scores 0 against all
+        the others, so they share the last row, which is 0 throughout.
 
         Only the senses of the given words take part.  An ancestor bitmap
         over those senses gives Resnik as the max IC over shared
         ancestors, then Lin as ``2 * res / (ic1 + ic2)`` (0 when the sum
         is 0), then each word pair's cell as the max over its sense pairs.
-        Out-of-taxonomy words score 0 and equal lowercased words 1.  The
-        float64 operations are those of :meth:`word_similarity`, so every
-        cell equals it.  Memory: S x A bits and an S x S Lin block for the
-        S senses of the given words and their A ancestors, plus the V x V
-        table.
+        The float64 operations are those of :meth:`word_similarity`, so
+        every cell equals it.  Memory: S x A bits and an S x S Lin block
+        for the S senses of the given words and their A ancestors, plus
+        the (R + 1)^2 table for the R words with a row of their own.
         """
         lowered = [w.lower() for w in words]
-        table = np.zeros((len(lowered), len(lowered)))
+        groups: dict[str, list[int]] = {}
+        for i, w in enumerate(lowered):
+            groups.setdefault(w, []).append(i)
+        own = [not a or w in self.word_index or len(groups[w]) > 1 for w, a in zip(lowered, alone)]
+        r = sum(own)
+        rows = np.full(len(lowered), r, dtype=np.intp)  # row r is the shared zero row
+        rows[own] = np.arange(r)
+        table = np.zeros((r + 1, r + 1))
         known = sorted({w for w in lowered if w in self.word_index})
         if known:
             senses = sorted(set().union(*(self.word_index[w] for w in known)))
@@ -221,15 +237,20 @@ class Taxonomy:
             index = {w: i for i, w in enumerate(known)}
             at = [i for i, w in enumerate(lowered) if w in index]
             of = [index[lowered[i]] for i in at]
-            table[np.ix_(at, at)] = by_word[np.ix_(of, of)]
-        groups: dict[str, list[int]] = {}
-        for i, w in enumerate(lowered):
-            groups.setdefault(w, []).append(i)
-        np.fill_diagonal(table, 1.0)
+            table[np.ix_(rows[at], rows[at])] = by_word[np.ix_(of, of)]
+        table[np.arange(r), np.arange(r)] = 1.0
         for group in groups.values():
             if len(group) > 1:
-                table[np.ix_(group, group)] = 1.0
-        return table
+                table[np.ix_(rows[group], rows[group])] = 1.0
+        return rows, table
+
+    def similarity_table(self, words) -> np.ndarray:
+        """``word_similarity`` of every pair of ``words``, as a (V, V)
+        float64 array: the dense view of :meth:`word_table` with no word
+        alone."""
+        words = list(words)
+        rows, table = self.word_table(words, [False] * len(words))
+        return table[np.ix_(rows, rows)]
 
     def __len__(self) -> int:
         return len(self.synsets)

@@ -5,6 +5,7 @@ import logging
 import random
 import tracemalloc
 from itertools import combinations
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,8 +20,11 @@ from tagrec.matcher import (
     profile_similarity,
 )
 from tagrec.profiles import Profile
+from tagrec.taxonomy import load_taxonomy
 
 from conftest import square, table_word_sim
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def greedy_oracle(rows, cols, word_sim, rounds=None):
@@ -383,7 +387,9 @@ class TestBatchedMatrix:
         distinct = [frozenset(rng.sample(pool, size)) for size in range(9) for _ in range(3)]
         profiles = [Profile(id=f"p{i}", words=rng.choice(distinct)) for i in range(60)]
         expected = build_similarity_matrix(profiles, quantised)
-        matrix = build_similarity_matrix(profiles, never, workers=workers, similarity_table=table)
+        matrix = build_similarity_matrix(
+            profiles, never, workers=workers, word_table=lambda words, alone: (np.arange(len(words)), table(words))
+        )
         assert len(built) == 1
         assert np.array_equal(matrix.condensed, expected.condensed)
 
@@ -398,6 +404,92 @@ class TestBatchedMatrix:
         ]
         matrix = build_similarity_matrix(profiles, never)
         assert matrix.condensed.tolist() == [0.0, 0.0, 0.0]
+
+
+class TestCompactWordTable:
+    """The build over ``Taxonomy.word_table``, whose out-of-taxonomy words
+    that never meet themselves share one zero row, against a build that
+    asks ``word_similarity`` pair by pair."""
+
+    CASES = [
+        {"solo", "odd", "dog"},  # solo and odd: out of the taxonomy, in one set only
+        {"zqxv", "cat"},  # zqxv: in two sets, so its identity cell of 1.0 is read
+        {"zqxv", "dog", "animal"},
+        {"ZQXV", "zqxv", "cat"},  # ties between the identity cell and a lowercase twin
+        {"shared", "cat"},  # shared: in a set two profiles hold, scored against itself
+        {"shared", "cat"},
+        {"Dog", "dog", "lone"},  # mixed-case duplicates: of known words, and lone and Lone in one set each
+        {"CAT", "entity", "Lone"},
+        set(),
+        set(),
+    ]
+
+    @classmethod
+    def profiles(cls):
+        rng = random.Random(64)
+        pool = ["dog", "Dog", "cat", "CAT", "animal", "entity", "zqxv", "ZQXV", "solo", "qq", "rr", "Rr", "ss"]
+        drawn = [set(rng.sample(pool, rng.randint(0, 5))) for _ in range(30)]
+        sets = cls.CASES + drawn + rng.sample(drawn, 8)
+        return [Profile(id=f"p{i:02d}", words=frozenset(s)) for i, s in enumerate(sets)]
+
+    @pytest.mark.parametrize(
+        "workers, grid_bytes",
+        [(1, matcher.GRID_BYTES), (2, matcher.GRID_BYTES), (1, 256), (2, 256)],
+        ids=["serial", "two-workers", "small-blocks", "two-workers-small-blocks"],
+    )
+    def test_equals_pairwise_build(self, monkeypatch, toy_taxonomy_half, workers, grid_bytes):
+        monkeypatch.setattr(matcher, "GRID_BYTES", grid_bytes)
+        tax = toy_taxonomy_half
+        profiles = self.profiles()
+
+        def never(a, b):
+            raise AssertionError("word_sim is not asked when a table builder is given")
+
+        expected = build_similarity_matrix(profiles, tax.word_similarity)
+        matrix = build_similarity_matrix(profiles, never, workers=workers, word_table=tax.word_table)
+        assert np.array_equal(matrix.condensed, expected.condensed)
+        for (i, p), (j, q) in combinations(enumerate(profiles), 2):
+            rows, cols = sorted((tuple(sorted(p.words)), tuple(sorted(q.words))))
+            oracle = greedy_oracle(rows, cols, tax.word_similarity)[0] if rows else 0.0
+            assert matrix.sim(i, j) == np.float32(oracle), (rows, cols)
+        # the identity cell of zqxv wins: 1.0, then lin(animal, cat), over min(2, 3) rounds
+        assert matrix.sim(1, 2) == np.float32((1.0 + tax.word_similarity("animal", "cat")) / 2)
+        assert matrix.sim(4, 5) == 1.0
+
+    def test_words_that_cannot_score_share_the_zero_row(self, toy_taxonomy_half):
+        sets = sorted({tuple(sorted(s)) for s in self.CASES if s})
+        scorer = matcher._SetScorer(sets, [s == ("cat", "shared") for s in sets], None, toy_taxonomy_half.word_table)
+        row = {w: int(scorer.padded[a, k]) for a, s in enumerate(sets) for k, w in enumerate(s)}
+        # solo and odd share the last row, of zeros; every other word has its own
+        assert row["solo"] == row["odd"] == len(scorer.table) - 1
+        assert len(set(row.values())) == len(row) - 1
+        assert scorer.table[row["solo"]].max() == 0.0
+        assert scorer.table[row["zqxv"], row["zqxv"]] == scorer.table[row["lone"], row["Lone"]] == 1.0
+        # 13 words: 11 rows of their own, plus the padding word's and the
+        # zero row, where a dense table has 13 + 1
+        assert len(row) == 13 and len(scorer.table) == 11 + 2
+
+    def test_peak_memory_of_open_vocabulary(self):
+        """200 profiles, like the openvocab benchmark's, of lexicon words
+        that the taxonomy mostly does not know.  A dense table over their
+        vocabulary of about 1,000 words took a tracemalloc peak of 9.2 MB."""
+        taxonomy = DATA / "taxonomy"
+        tax = load_taxonomy(taxonomy / "synsets.tsv", taxonomy / "edges.tsv", taxonomy / "counts.tsv")
+        lexicon = sorted({w.lower() for w in (DATA / "lexicon.txt").read_text(encoding="utf-8").split() if w.isalpha()})
+        rng = random.Random(1)
+        # user i posts 4 to 7 hashtags of one or two words each
+        sizes = [sum(1 + (i + t) % 2 for t in range(4 + (i // 5) % 4)) for i in range(198)]
+        profiles = [Profile(id=f"u{i:03d}", words=frozenset(rng.sample(lexicon, k))) for i, k in enumerate(sizes)]
+        profiles += [Profile(id="u198"), Profile(id="u199")]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            matrix = build_similarity_matrix(profiles, None, word_table=tax.word_table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert matrix.condensed.size == 200 * 199 // 2 and matrix.condensed.max() > 0
+        assert peak < 3_000_000, peak / 1e6
 
 
 class TestMatchBatch:
@@ -582,7 +674,7 @@ class TestCrossRowBatches:
         for limit in (default, grid_bytes):
             monkeypatch.setattr(matcher, "GRID_BYTES", limit)
             blocks.clear()
-            scorer = matcher._SetScorer(sets, shared, never, table)
+            scorer = matcher._SetScorer(sets, shared, never, lambda words, alone: (np.arange(len(words)), table(words)))
             _, a, b, scores, stats = scorer.rows((0, len(sets)))
             assert stats["batches"] == len(blocks)
             assert all(nbytes <= limit or grids == 1 for grids, nbytes in blocks)

@@ -281,6 +281,73 @@ class TestSimilarityTable:
             self.assert_cells_equal(tax, words)
 
 
+class TestWordTable:
+    """``word_table``'s contract: every cell it names equals
+    ``word_similarity``, and words that cannot score share one zero row."""
+
+    @staticmethod
+    def assert_contract(tax, words, alone):
+        rows, table = tax.word_table(words, alone)
+        assert rows.shape == (len(words),) and table.dtype == np.float64
+        for i, a in enumerate(words):
+            for j, b in enumerate(words):
+                if i != j or not alone[i]:
+                    assert table[rows[i], rows[j]] == tax.word_similarity(a, b), (a, b, alone[i], alone[j])
+        lowered = [w.lower() for w in words]
+        known = sum(w in tax.word_index for w in lowered)
+        twins = sum(lowered.count(w) > 1 for w in lowered)
+        zero = [i for i, w in enumerate(lowered) if alone[i] and w not in tax.word_index and lowered.count(w) == 1]
+        # every word that cannot score is on the one row of zeros, the last
+        assert {int(rows[i]) for i in zero} <= {len(table) - 1}
+        assert not table[-1].any() and not table[:, -1].any()
+        assert len(table) <= known + twins + (len(words) - sum(alone)) + 1
+        return rows, table
+
+    @staticmethod
+    def masks(rng, n):
+        yield [False] * n
+        yield [True] * n
+        for _ in range(4):
+            yield [rng.random() < 0.5 for _ in range(n)]
+
+    def test_bundled_taxonomy_and_oov_words(self):
+        taxonomy = DATA / "taxonomy"
+        tax = load_taxonomy(taxonomy / "synsets.tsv", taxonomy / "edges.tsv", taxonomy / "counts.tsv")
+        rng = random.Random(99)
+        words = sorted(tax.word_index) + ["zqxv", "warbler", "pizzarecipe", "qqq", "Zqxv"]
+        rng.shuffle(words)
+        for alone in self.masks(rng, len(words)):
+            self.assert_contract(tax, words, alone)
+        # all alone: only the known words and the two lowercase twins have rows
+        rows, table = self.assert_contract(tax, words, [True] * len(words))
+        assert len(table) == len(tax.word_index) + 2 + 1
+        assert len({int(rows[words.index(w)]) for w in ("warbler", "pizzarecipe", "qqq")}) == 1
+
+    def test_mixed_case_duplicates(self, toy_taxonomy_half):
+        words = ["Dog", "dog", "CAT", "cat", "ZQXV", "zqxv", "animal", "Solo", "other"]
+        for alone in self.masks(random.Random(7), len(words)):
+            rows, table = self.assert_contract(toy_taxonomy_half, words, alone)
+            assert table[rows[4], rows[5]] == 1.0  # equal lowercased words, out of the taxonomy
+        rows, _ = self.assert_contract(toy_taxonomy_half, words, [True] * len(words))
+        assert rows[7] == rows[8] != rows[4]
+
+    def test_empty_word_list(self, toy_taxonomy_half):
+        rows, table = toy_taxonomy_half.word_table([], [])
+        assert rows.shape == (0,) and table.shape == (1, 1) and table[0, 0] == 0.0
+
+    def test_random_dags(self):
+        rng = random.Random(3141)
+        for _ in range(40):
+            synsets, parents, own_counts = random_dag(rng, max_nodes=12)
+            # every v word names several synsets, so words have several senses
+            synsets = {sid: Synset(sid, "n", (*syn.words, f"v{i % 3}")) for i, (sid, syn) in enumerate(synsets.items())}
+            tax = Taxonomy(synsets, parents, own_counts)
+            words = [f"w{i}" for i in range(len(synsets))] + ["v0", "v1", "v2", "V1", "zqxv", "solo", "ZQXV"]
+            rng.shuffle(words)
+            for alone in self.masks(rng, len(words)):
+                self.assert_contract(tax, words, alone)
+
+
 class TestLoadTaxonomy:
     def write_files(self, tmp_path, synsets, edges, counts=None):
         sp = tmp_path / "synsets.tsv"
