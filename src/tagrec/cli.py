@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simmatrix", help="compute the pairwise profile similarity matrix")
     p.add_argument("--profiles", required=True, help="profiles TSV from the profiles stage")
     _add_taxonomy_flags(p)
-    p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--workers", type=int, default=1, help="threads that score the matrix, in this process")
     p.add_argument("--out", required=True, help="similarity TSV output")
     p.set_defaults(func=_cmd_simmatrix)
 

@@ -21,7 +21,7 @@ build scores each distinct non-empty word set once, in numpy batches:
    it either, it scores 0 against every word it meets, so all such words
    share one row of zeros.  Without a builder, ``word_sim`` is called
    once for each unordered word pair that meets in some grid, and for no
-   other pair, in the calling process, and every word has its own row.
+   other pair, and every word has its own row.
 2. Greedy rounds.  A set is scored against the later sets (and against
    itself, when two profiles hold it), and the sets are scored in
    contiguous ranges of rows.  A pair of sets with no word similarity
@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from multiprocessing import get_context
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -155,7 +155,8 @@ class _SetScorer:
     bool array for D sets and a table of R + 1 rows, is built then too:
     ``reach[a, r]`` is true when some word of set a has a similarity above
     0 to the words of row r.  It is built a few sets at a time, so no copy
-    of the table is held, and once, before any worker is forked.
+    of the table is held.  Scoring only reads these arrays, so threads may
+    score ranges of one scorer at once.
     """
 
     def __init__(self, sets: list[tuple[str, ...]], shared, word_sim, word_table=None):
@@ -191,12 +192,12 @@ class _SetScorer:
         for lo in range(0, len(sets), step):
             (self.table[self.padded[lo : lo + step]] > 0).any(axis=1, out=self.reach[lo : lo + step])
 
-    def rows(self, bounds: tuple[int, int]) -> tuple[tuple[int, int], np.ndarray, np.ndarray, np.ndarray, Counter]:
+    def rows(self, bounds: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray, Counter]:
         """Float64 scores of the set pairs ``(a, b)`` that rows ``lo..hi-1``
         are scored in: ``b > a``, or ``b == a`` when ``shared[a]``.
 
-        Returns ``bounds``, the row and column sets of the pairs that were
-        matched, their scores, and ``stats``.  A pair whose two sets have no
+        Returns the row and column sets of the pairs that were matched,
+        their scores, and ``stats``.  A pair whose two sets have no
         word similarity above 0 between them is left out: it scores +0.0,
         as its greedy rounds would give, and its grid is never gathered.
         The other pairs are sorted by the sizes of their two sets and
@@ -241,16 +242,19 @@ class _SetScorer:
             stats["dropped_grids"] += dropped
             stats["batches"] += 1
             s = e
-        return bounds, a, b, out, stats
+        return a, b, out, stats
 
 
 def profile_similarity(p1, p2, word_sim) -> float:
     """Greedy-matching similarity between two profiles, in [0, 1].
 
-    ``word_sim`` must be symmetric with values in [0, 1].  Either profile
-    being empty scores 0.  The word lists are sorted and oriented
-    canonically before matching, so results are bit-exact symmetric and
-    ties in the grid resolve the same way no matter the argument order.
+    ``word_sim`` must be symmetric with values in [0, 1].  It is asked
+    only about pairs of one word of ``p1`` and one word of ``p2``, in
+    either argument order, so it need not cover any other pair, such as
+    two words of the same profile.  Either profile being empty scores 0.
+    The word lists are sorted and oriented canonically before matching, so
+    results are bit-exact symmetric and ties in the grid resolve the same
+    way no matter the argument order.
     """
     wa, wb = sorted((_word_tuple(p1), _word_tuple(p2)))
     if not wa:
@@ -259,7 +263,7 @@ def profile_similarity(p1, p2, word_sim) -> float:
         scorer = _SetScorer([wa], [True], word_sim)
     else:
         scorer = _SetScorer([wa, wb], [False, False], word_sim)
-    score = scorer.rows((0, 1))[3]
+    score = scorer.rows((0, 1))[2]
     return float(score[0]) if score.size else 0.0
 
 
@@ -330,19 +334,6 @@ class SimilarityMatrix:
         return SimilarityMatrix(self.ids, self.condensed * np.float32(factor))
 
 
-# Worker state for the parallel matrix build; populated by the pool
-# initializer after fork so tasks only carry row ranges.
-_WORKER: dict = {}
-
-
-def _init_worker(scorer):
-    _WORKER["scorer"] = scorer
-
-
-def _score_rows(bounds):
-    return _WORKER["scorer"].rows(bounds)
-
-
 def _row_chunks(n: int, n_chunks: int) -> list[tuple[int, int]]:
     """Split rows into contiguous chunks with roughly equal pair counts."""
     total = n * (n - 1) // 2
@@ -362,12 +353,12 @@ def _row_chunks(n: int, n_chunks: int) -> list[tuple[int, int]]:
 
 
 def _scored_chunks(scorer: _SetScorer, chunks, workers: int):
+    """``scorer.rows`` of each chunk, in chunk order."""
     if workers == 1 or len(chunks) < 2:
         yield from map(scorer.rows, chunks)
         return
-    ctx = get_context("fork")
-    with ctx.Pool(processes=min(workers, len(chunks)), initializer=_init_worker, initargs=(scorer,)) as pool:
-        yield from pool.imap_unordered(_score_rows, chunks)
+    with ThreadPoolExecutor(min(workers, len(chunks))) as pool:
+        yield from pool.map(scorer.rows, chunks)
 
 
 def build_similarity_matrix(
@@ -386,10 +377,11 @@ def build_similarity_matrix(
     ``alone[i]``, which marks a word whose own cell no grid reads, as
     :meth:`Taxonomy.word_table <tagrec.taxonomy.Taxonomy.word_table>`
     does.  Otherwise
-    ``word_sim`` is called only in this process, before any scoring, once
-    for each unordered word pair that some scored grid holds.  With
-    ``workers > 1``, forked processes score contiguous ranges of distinct
-    word sets from the finished word table; the result is the same.
+    ``word_sim`` is called only in the calling thread, before any
+    scoring, once for each unordered word pair that some scored grid
+    holds.  With ``workers > 1``, a pool of threads scores contiguous
+    ranges of distinct word sets from the finished word table; the result
+    is the same.
     ``progress``, when given, is called with ``(done_pairs, total_pairs)``
     in profile pairs after each range.  One INFO log line gives the
     distinct set pairs scored, how many of them were settled at 0 without
@@ -397,7 +389,7 @@ def build_similarity_matrix(
     how many batches were matched, summed over every range.  The last two
     depend on how the pairs fall into ranges and batches; the scores do
     not.  ``workers`` below 1 raises :class:`InputError`, and no more
-    processes are forked than there are ranges.
+    threads are started than there are ranges.
     """
     if workers < 1:
         raise InputError(f"workers must be at least 1, got {workers}")
@@ -421,7 +413,8 @@ def build_similarity_matrix(
         done = 0
         stats: Counter = Counter()
         # at least 16 chunks for progress, and 4 per worker to balance the pool
-        for (lo, hi), a, b, score, chunk_stats in _scored_chunks(scorer, _row_chunks(d, 4 * max(workers, 4)), workers):
+        chunks = _row_chunks(d, 4 * max(workers, 4))
+        for (lo, hi), (a, b, score, chunk_stats) in zip(chunks, _scored_chunks(scorer, chunks, workers)):
             scores[a, b] = score
             scores[b, a] = score
             stats.update(chunk_stats)

@@ -244,14 +244,6 @@ class Taxonomy:
                 table[np.ix_(rows[group], rows[group])] = 1.0
         return rows, table
 
-    def similarity_table(self, words) -> np.ndarray:
-        """``word_similarity`` of every pair of ``words``, as a (V, V)
-        float64 array: the dense view of :meth:`word_table` with no word
-        alone."""
-        words = list(words)
-        rows, table = self.word_table(words, [False] * len(words))
-        return table[np.ix_(rows, rows)]
-
     def __len__(self) -> int:
         return len(self.synsets)
 

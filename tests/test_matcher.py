@@ -3,10 +3,12 @@
 import gc
 import logging
 import random
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -280,28 +282,18 @@ class TestParallelBuild:
         with pytest.raises(InputError, match="workers must be at least 1"):
             build_similarity_matrix(profiles, worked_word_sim, workers=workers)
 
-    @pytest.mark.parametrize("sets, workers, forked", [(3, 8, 3), (40, 2, 2), (40, 8, 8)])
-    def test_forks_no_idle_processes(self, monkeypatch, sets, workers, forked):
+    @pytest.mark.parametrize("sets, workers, started", [(3, 8, 3), (40, 2, 2), (40, 8, 8)])
+    def test_forks_no_idle_processes(self, monkeypatch, sets, workers, started):
+        """The pool starts no more threads than there are ranges, and none
+        is left running after the build."""
         pools = []
 
-        class Pool:
-            """Records the pool size and scores the chunks in this process."""
+        class Recorded(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
 
-            def __init__(self, processes, initializer, initargs):
-                pools.append(processes)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def imap_unordered(self, fn, chunks):
-                return map(fn, chunks)
-
-        monkeypatch.setattr(matcher, "get_context", lambda method: SimpleNamespace(Pool=Pool))
-        monkeypatch.setattr(matcher, "_WORKER", {})
+        monkeypatch.setattr(matcher, "ThreadPoolExecutor", Recorded)
         words = [f"w{k}" for k in range(5)]
         sw = random_word_sim(random.Random(5), words)
         # profile i holds the words of the set bits of i + 1, so 40 profiles repeat sets
@@ -310,9 +302,16 @@ class TestParallelBuild:
         chunks = matcher._row_chunks(len(set(held) - {frozenset()}), 4 * max(workers, 4))
         assert len(chunks) >= 2
         serial = build_similarity_matrix(profiles, sw)
-        forked_build = build_similarity_matrix(profiles, sw, workers=workers)
-        assert pools == [min(workers, len(chunks))] == [forked]
-        assert np.array_equal(forked_build.condensed, serial.condensed)
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads switch often, so scoring ranges interleave
+        try:
+            pooled = build_similarity_matrix(profiles, sw, workers=workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
+        assert pools == [min(workers, len(chunks))] == [started]
+        assert np.array_equal(pooled.condensed, serial.condensed)
 
 
 class TestBatchedMatrix:
@@ -599,7 +598,7 @@ class TestZeroPairFilter:
         match_batch = matcher._match_batch
 
         def counted(grids, rounds):
-            # raises in a forked worker too, which the pool passes on
+            # raises in a pool thread too, whose error the pool's map passes on
             assert (grids.reshape(len(grids), -1).max(axis=1) > 0).all(), "a grid with no cell above 0 was matched"
             matched.append(len(grids))
             return match_batch(grids, rounds)
@@ -621,8 +620,7 @@ class TestZeroPairFilter:
         positive = sum(any(sw(u, v) > 0 for u in a for v in b) for a, b in pairs)
         assert 0 < positive < len(pairs) / 2
         assert self.logged_counts(caplog)[:2] == (len(pairs), len(pairs) - positive)
-        if workers == 1:
-            assert sum(matched) == positive
+        assert sum(matched) == positive
 
     def test_counts_do_not_depend_on_workers(self, caplog):
         caplog.set_level(logging.INFO, logger="tagrec.matcher")
@@ -675,7 +673,7 @@ class TestCrossRowBatches:
             monkeypatch.setattr(matcher, "GRID_BYTES", limit)
             blocks.clear()
             scorer = matcher._SetScorer(sets, shared, never, lambda words, alone: (np.arange(len(words)), table(words)))
-            _, a, b, scores, stats = scorer.rows((0, len(sets)))
+            a, b, scores, stats = scorer.rows((0, len(sets)))
             assert stats["batches"] == len(blocks)
             assert all(nbytes <= limit or grids == 1 for grids, nbytes in blocks)
             scored[limit] = dict(zip(zip(a.tolist(), b.tolist()), scores.tolist()))
@@ -695,7 +693,7 @@ class TestCrossRowBatches:
         sets = sorted({tuple(sorted(rng.sample(pool, rng.randint(1, 5)))) for _ in range(40)})
         blocks = self.recorded_blocks(monkeypatch)
         scorer = matcher._SetScorer(sets, [True] * len(sets), sw)
-        _, a, b, scores, _ = scorer.rows((0, len(sets)))
+        a, b, scores, _ = scorer.rows((0, len(sets)))
         ((grids, _),) = blocks
         shapes = {(len(sets[i]), len(sets[j])) for i, j in zip(a.tolist(), b.tolist())}
         assert len(shapes) > 10

@@ -231,56 +231,6 @@ class TestWordSimilarity:
         assert after >= before
 
 
-class TestSimilarityTable:
-    """``similarity_table`` against ``word_similarity``, cell by cell."""
-
-    @staticmethod
-    def assert_cells_equal(tax, words):
-        table = tax.similarity_table(words)
-        assert table.shape == (len(words), len(words)) and table.dtype == np.float64
-        for i, a in enumerate(words):
-            for j, b in enumerate(words):
-                assert table[i, j] == tax.word_similarity(a, b), (a, b)
-
-    def test_bundled_taxonomy_and_oov_words(self):
-        taxonomy = DATA / "taxonomy"
-        tax = load_taxonomy(taxonomy / "synsets.tsv", taxonomy / "edges.tsv", taxonomy / "counts.tsv")
-        self.assert_cells_equal(tax, sorted(tax.word_index) + ["zqxv", "warbler", "pizzarecipe"])
-
-    def test_mixed_case_duplicates(self, toy_taxonomy_half):
-        words = ["Dog", "dog", "CAT", "cat", "ZQXV", "zqxv", "animal"]
-        table = toy_taxonomy_half.similarity_table(words)
-        assert table[0, 1] == 1.0
-        assert table[0, 2] == table[1, 3] == toy_taxonomy_half.word_similarity("dog", "cat")
-        assert table[4, 5] == 1.0
-        self.assert_cells_equal(toy_taxonomy_half, words)
-
-    def test_empty_word_list(self, toy_taxonomy_half):
-        assert toy_taxonomy_half.similarity_table([]).shape == (0, 0)
-
-    def test_random_dags(self):
-        rng = random.Random(2718)
-        for k in range(40):
-            synsets, parents, own_counts = random_dag(rng, max_nodes=12)
-            n = len(synsets)
-            rooted = k % 2 == 0
-            if rooted:  # s0 above all: IC 0, so lin's denominator is 0 for s0 and s0
-                for i in range(1, n):
-                    parents.setdefault(f"s{i}", {"s0"})
-            # every v word names several synsets, so words have several senses
-            synsets = {sid: Synset(sid, "n", (*syn.words, f"v{i % 3}")) for i, (sid, syn) in enumerate(synsets.items())}
-            if n > 1:
-                own_counts[f"s{n - 1}"] = 0  # a leaf, so its frequency is 0 and its IC capped
-            tax = Taxonomy(synsets, parents, own_counts)
-            if rooted:
-                assert tax.ic["s0"] == 0.0
-            if n > 1:
-                assert tax.ic[f"s{n - 1}"] == tax.ic_cap
-            words = [f"w{i}" for i in range(n)] + ["v0", "v1", "v2", "V1", "zqxv"]
-            rng.shuffle(words)
-            self.assert_cells_equal(tax, words)
-
-
 class TestWordTable:
     """``word_table``'s contract: every cell it names equals
     ``word_similarity``, and words that cannot score share one zero row."""
@@ -327,6 +277,9 @@ class TestWordTable:
         words = ["Dog", "dog", "CAT", "cat", "ZQXV", "zqxv", "animal", "Solo", "other"]
         for alone in self.masks(random.Random(7), len(words)):
             rows, table = self.assert_contract(toy_taxonomy_half, words, alone)
+            assert table[rows[0], rows[1]] == 1.0
+            dog_cat = toy_taxonomy_half.word_similarity("dog", "cat")
+            assert table[rows[0], rows[2]] == table[rows[1], rows[3]] == dog_cat
             assert table[rows[4], rows[5]] == 1.0  # equal lowercased words, out of the taxonomy
         rows, _ = self.assert_contract(toy_taxonomy_half, words, [True] * len(words))
         assert rows[7] == rows[8] != rows[4]
@@ -337,11 +290,22 @@ class TestWordTable:
 
     def test_random_dags(self):
         rng = random.Random(3141)
-        for _ in range(40):
+        for k in range(40):
             synsets, parents, own_counts = random_dag(rng, max_nodes=12)
+            n = len(synsets)
+            rooted = k % 2 == 0
+            if rooted:  # s0 above all: IC 0, so lin's denominator is 0 for s0 and s0
+                for i in range(1, n):
+                    parents.setdefault(f"s{i}", {"s0"})
             # every v word names several synsets, so words have several senses
             synsets = {sid: Synset(sid, "n", (*syn.words, f"v{i % 3}")) for i, (sid, syn) in enumerate(synsets.items())}
+            if n > 1:
+                own_counts[f"s{n - 1}"] = 0  # a leaf, so its frequency is 0 and its IC capped
             tax = Taxonomy(synsets, parents, own_counts)
+            if rooted:
+                assert tax.ic["s0"] == 0.0
+            if n > 1:
+                assert tax.ic[f"s{n - 1}"] == tax.ic_cap
             words = [f"w{i}" for i in range(len(synsets))] + ["v0", "v1", "v2", "V1", "zqxv", "solo", "ZQXV"]
             rng.shuffle(words)
             for alone in self.masks(rng, len(words)):
