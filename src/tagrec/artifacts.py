@@ -266,6 +266,14 @@ def write_sims_tsv(path, matrix: SimilarityMatrix) -> None:
     atomic_write(path, chunks, encoding=None)
 
 
+def sims_tsv_size(ids) -> int:
+    """The bytes of the ``sims.tsv`` that :func:`write_sims_tsv` writes for
+    ``ids``: each id is in n - 1 rows, and each row adds the 11 bytes that
+    :func:`_id_groups` counts."""
+    n = len(ids)
+    return (n - 1) * sum(len(pid.encode()) for pid in ids) + 11 * (n * (n - 1) // 2)
+
+
 def _sims_rows(encoded: list[bytes], ids: range, values: np.ndarray) -> bytes:
     """The rows of ``encoded[i]`` for each ``i`` in ``ids``, a group of
     :func:`_id_groups`: that id, a tab, each later id and the

@@ -10,18 +10,13 @@ depend on argument order, bit for bit.
 Profiles that hold the same word set get the same scores, so the matrix
 build scores each distinct non-empty word set once, in numpy batches:
 
-1. Word table.  A float64 table with a row for each word that can score
-   and one extra sentinel row and column of -1; each set holds the rows
-   of its words.  With a ``word_table`` builder, as the pipeline passes
-   ``Taxonomy.word_table``, the builder fills the whole table in one
-   call, for the vocabulary plus one padding word whose row and column
-   then become the sentinel in place, and ``word_sim`` is never called.
-   A word that only one set holds, and that set not scored against
-   itself, never meets a copy of itself; when the taxonomy does not know
-   it either, it scores 0 against every word it meets, so all such words
-   share one row of zeros.  Without a builder, ``word_sim`` is called
-   once for each unordered word pair that meets in some grid, and for no
-   other pair, and every word has its own row.
+1. Word table.  One call of the ``word_table`` builder, as the pipeline
+   passes ``Taxonomy.word_table``, fills a float64 table for the
+   vocabulary and one padding word, whose row and column then become a
+   sentinel of -1; each set holds the table rows of its words.  A word
+   that no grid meets with a copy of itself, and that the taxonomy does
+   not know, scores 0 against every word it meets, so all such words
+   share one row of zeros.
 2. Greedy rounds.  A set is scored against the later sets (and against
    itself, when two profiles hold it), and the sets are scored in
    contiguous ranges of rows.  A pair of sets with no word similarity
@@ -49,7 +44,7 @@ word rows and the sentinel, ``reach``, D x (R + 1) bool for D distinct
 word sets, and the set x set scores, (D + 1)^2 float32.  With the
 taxonomy's builder, R is one row for each word that the taxonomy knows
 or that can meet a copy of itself or a lowercase twin, plus the row of
-zeros; without a builder, R is V, the number of distinct profile words.
+zeros.
 """
 
 from __future__ import annotations
@@ -115,51 +110,22 @@ def _match_batch(grids: np.ndarray, rounds: np.ndarray) -> tuple[np.ndarray, int
     return total / rounds, dropped
 
 
-def _word_table(vocab: list[str], padded: np.ndarray, lengths: np.ndarray, shared, word_sim) -> np.ndarray:
-    """Word similarities for every word pair that meets in a scored grid.
-
-    Set a meets the union of the sets after it, and itself when
-    ``shared[a]``.  Each such unordered pair is asked of ``word_sim``
-    once; every other cell, and the sentinel row and column at index V,
-    holds -1.
-    """
-    v = len(vocab)
-    need = np.zeros((v, v), dtype=bool)
-    later = np.zeros(v, dtype=bool)
-    for a in range(len(lengths) - 1, -1, -1):
-        rows = padded[a, : lengths[a]]
-        need[rows] |= later
-        if shared[a]:
-            need[np.ix_(rows, rows)] = True
-        later[rows] = True
-    need |= need.T
-    table = np.full((v + 1, v + 1), -1.0)
-    for i, wi in enumerate(vocab):
-        js = np.flatnonzero(need[i, i:]) + i
-        if js.size:
-            values = [word_sim(wi, vocab[j]) for j in js.tolist()]
-            table[i, js] = values
-            table[js, i] = values
-    return table
-
-
 class _SetScorer:
     """Scores of distinct word sets against the sets after them.
 
     ``sets`` are distinct non-empty sorted word tuples in ascending order,
     so set a is the row side of every grid it is scored in.  Only sets
     with ``shared[a]`` true are scored against themselves.  The word table
-    is filled on construction, by ``word_table`` when it is given and by
-    asking ``word_sim`` otherwise.  ``padded`` holds the table row of each
-    set's words, padded with the sentinel's row.  ``reach``, a D x (R + 1)
-    bool array for D sets and a table of R + 1 rows, is built then too:
-    ``reach[a, r]`` is true when some word of set a has a similarity above
-    0 to the words of row r.  It is built a few sets at a time, so no copy
-    of the table is held.  Scoring only reads these arrays, so threads may
-    score ranges of one scorer at once.
+    is filled on construction, by one call of ``word_table``.  ``padded``
+    holds the table row of each set's words, padded with the sentinel's
+    row.  ``reach``, a D x (R + 1) bool array for D sets and a table of
+    R + 1 rows, is built then too: ``reach[a, r]`` is true when some word
+    of set a has a similarity above 0 to the words of row r.  It is built
+    a few sets at a time, so no copy of the table is held.  Scoring only
+    reads these arrays, so threads may score ranges of one scorer at once.
     """
 
-    def __init__(self, sets: list[tuple[str, ...]], shared, word_sim, word_table=None):
+    def __init__(self, sets: list[tuple[str, ...]], shared, word_table):
         vocab = sorted(set().union(*sets))
         pos = {w: i for i, w in enumerate(vocab)}
         self.shared = np.asarray(shared, dtype=bool)
@@ -168,25 +134,19 @@ class _SetScorer:
         padded = np.full((len(sets), int(self.lengths.max())), len(vocab), dtype=np.intp)
         for a, s in enumerate(sets):
             padded[a, : len(s)] = [pos[w] for w in s]
-        if word_table is None:
-            rows = np.arange(len(vocab) + 1)
-            self.table = _word_table(vocab, padded, self.lengths, self.shared, word_sim)
-        else:
-            # A word meets a copy of itself only when two sets hold it or a
-            # shared set does; any other word's own cell is never read.
-            in_shared = np.zeros(len(vocab) + 1, dtype=bool)
-            in_shared[padded[self.shared]] = True
-            alone = (np.bincount(padded.ravel(), minlength=len(vocab) + 1) == 1) & ~in_shared
-            # Asking for one word more, not alone, gives the sentinel a row of
-            # its own in the builder's array, so the bordered table needs no copy.
-            alone[-1] = False
-            rows, self.table = word_table([*vocab, ""], alone)
-            self.table[rows[-1], :] = -1.0
-            self.table[:, rows[-1]] = -1.0
+        # A word meets a copy of itself only when two sets hold it or a shared
+        # set does (counted twice); any other word's own cell is never read.
+        held = np.concatenate([padded.ravel(), padded[self.shared].ravel()])
+        alone = np.bincount(held, minlength=len(vocab) + 1) == 1
+        # Asking for one word more, not alone, gives the sentinel a row of
+        # its own in the builder's array, so the bordered table needs no copy.
+        alone[-1] = False
+        rows, self.table = word_table([*vocab, ""], alone)
+        self.table[rows[-1], :] = -1.0
+        self.table[:, rows[-1]] = -1.0
         # table rows of each set's words, padded with the sentinel's row
         self.padded = rows[padded]
-        # Cells no scored grid holds may be -1, and so is the sentinel row and
-        # column.  Each gather of table rows is at most the size of reach.
+        # each gather of table rows is at most the size of reach
         self.reach = np.empty((len(sets), len(self.table)), dtype=bool)
         step = max(1, self.reach.nbytes // (self.padded.shape[1] * self.table[0].nbytes))
         for lo in range(0, len(sets), step):
@@ -250,21 +210,17 @@ def profile_similarity(p1, p2, word_sim) -> float:
 
     ``word_sim`` must be symmetric with values in [0, 1].  It is asked
     only about pairs of one word of ``p1`` and one word of ``p2``, in
-    either argument order, so it need not cover any other pair, such as
-    two words of the same profile.  Either profile being empty scores 0.
-    The word lists are sorted and oriented canonically before matching, so
-    results are bit-exact symmetric and ties in the grid resolve the same
-    way no matter the argument order.
+    either argument order, so it need not cover two words of the same
+    profile.  Either profile being empty scores 0.  The word lists are
+    sorted and oriented canonically, so results are bit-exact symmetric
+    and ties in the grid resolve the same way no matter the argument
+    order; the one grid is matched by the matrix build's greedy rounds.
     """
-    wa, wb = sorted((_word_tuple(p1), _word_tuple(p2)))
-    if not wa:
+    rows, cols = sorted((_word_tuple(p1), _word_tuple(p2)))
+    if not rows:
         return 0.0
-    if wa == wb:
-        scorer = _SetScorer([wa], [True], word_sim)
-    else:
-        scorer = _SetScorer([wa, wb], [False, False], word_sim)
-    score = scorer.rows((0, 1))[2]
-    return float(score[0]) if score.size else 0.0
+    grid = np.array([[word_sim(u, v) for v in cols] for u in rows], dtype=np.float64)
+    return float(_match_batch(grid[None], np.array([min(len(rows), len(cols))]))[0][0])
 
 
 class SimilarityMatrix:
@@ -361,35 +317,29 @@ def _scored_chunks(scorer: _SetScorer, chunks, workers: int):
         yield from pool.map(scorer.rows, chunks)
 
 
-def build_similarity_matrix(
-    profiles, word_sim, workers: int = 1, progress=None, *, word_table=None
-) -> SimilarityMatrix:
+def build_similarity_matrix(profiles, word_table, workers: int = 1, progress=None) -> SimilarityMatrix:
     """Compute all N*(N-1)/2 profile similarities.
 
     Each distinct non-empty word set is scored once against every later
     one, and against itself when two profiles hold it; see the module
     docstring for the three steps and the memory they take.  The word
-    table comes from ``word_table`` when it is given, called once as
-    ``word_table(words, alone)``, and ``word_sim`` itself is not called.
-    It returns ``(rows, table)``, a float64 table and the row of each word
-    in it, with ``table[rows[i], rows[j]] == word_sim(words[i],
-    words[j])`` for every ``i != j``, and for ``i == j`` unless
-    ``alone[i]``, which marks a word whose own cell no grid reads, as
-    :meth:`Taxonomy.word_table <tagrec.taxonomy.Taxonomy.word_table>`
-    does.  Otherwise
-    ``word_sim`` is called only in the calling thread, before any
-    scoring, once for each unordered word pair that some scored grid
-    holds.  With ``workers > 1``, a pool of threads scores contiguous
-    ranges of distinct word sets from the finished word table; the result
-    is the same.
-    ``progress``, when given, is called with ``(done_pairs, total_pairs)``
-    in profile pairs after each range.  One INFO log line gives the
-    distinct set pairs scored, how many of them were settled at 0 without
-    a grid, how many grids left their batch before its last round, and
-    how many batches were matched, summed over every range.  The last two
-    depend on how the pairs fall into ranges and batches; the scores do
-    not.  ``workers`` below 1 raises :class:`InputError`, and no more
-    threads are started than there are ranges.
+    table comes from one call ``word_table(words, alone)``, before any
+    scoring, which returns ``(rows, table)`` as :meth:`Taxonomy.word_table
+    <tagrec.taxonomy.Taxonomy.word_table>` does: a float64 table, which
+    the build then edits, and the row of each word in it.
+    ``table[rows[i], rows[j]]`` is the symmetric similarity in [0, 1] of
+    ``words[i]`` and ``words[j]`` for every ``i != j``, and for ``i == j``
+    unless ``alone[i]``, which marks a word whose own cell no grid reads.
+    With ``workers > 1``, a pool of threads scores contiguous ranges of
+    distinct word sets; the result is the same.  ``progress``, when given,
+    is called with ``(done_pairs, total_pairs)`` in profile pairs after
+    each range.  One INFO log line gives the distinct set pairs scored,
+    how many of them were settled at 0 without a grid, how many grids
+    left their batch before its last round, and how many batches were
+    matched, summed over every range.  The last two depend on how the
+    pairs fall into ranges and batches; the scores do not.  ``workers``
+    below 1 raises :class:`InputError`, and no more threads are started
+    than there are ranges.
     """
     if workers < 1:
         raise InputError(f"workers must be at least 1, got {workers}")
@@ -407,7 +357,7 @@ def build_similarity_matrix(
     scores = np.zeros((d + 1, d + 1), dtype=np.float32)
     if d:
         mult = np.array([counts[s] for s in sets], dtype=np.int64)
-        scorer = _SetScorer(sets, mult > 1, word_sim, word_table)
+        scorer = _SetScorer(sets, mult > 1, word_table)
         # profile pairs whose score each set row settles, for progress
         settled = mult * (mult.sum() - np.cumsum(mult)) + mult * (mult - 1) // 2
         done = 0

@@ -11,6 +11,8 @@ via its content-hash sidecar.
 from __future__ import annotations
 
 import logging
+import os
+import shutil
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,27 +45,48 @@ def compute_profiles(users_path, lexicon_path, bigrams_path, bigram_floor: float
     artifacts.write_profiles_tsv(out_path, profiles)
 
 
+def _physical_ram() -> int | None:
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or not these names
+        return None
+
+
 def compute_simmatrix(
     profiles_path, synsets_path, edges_path, counts_path, ic_cap: float, workers: int, out_path
 ) -> None:
+    """Score every pair of profiles into ``out_path``.
+
+    Before the taxonomy loads, the pairs, the condensed matrix's bytes and
+    the exact bytes of ``out_path`` are logged at INFO.  A disk with fewer
+    bytes free than the file needs raises :class:`TagrecError`, and a
+    condensed matrix larger than physical RAM, where the platform tells
+    it, logs a warning.
+    """
     profiles = artifacts.read_profiles_tsv(profiles_path)
-    if len(profiles) < 2:
+    n = len(profiles)
+    if n < 2:
         raise InputError(
-            f"{profiles_path} holds {len(profiles)} profile(s); a similarity matrix needs at least 2, "
+            f"{profiles_path} holds {n} profile(s); a similarity matrix needs at least 2, "
             "because sims.tsv names its ids only in its pair rows"
         )
+    out_path = Path(out_path)
+    pairs = n * (n - 1) // 2
+    sims_bytes = artifacts.sims_tsv_size([p.id for p in profiles])
+    logger.info("[simmatrix] %d pairs: %d bytes condensed, %d bytes of %s", pairs, 4 * pairs, sims_bytes, out_path)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    free = shutil.disk_usage(out_path.parent).free
+    if free < sims_bytes:
+        raise TagrecError(f"{out_path} needs {sims_bytes} bytes, but its disk has {free} bytes free")
+    ram = _physical_ram()
+    if ram is not None and 4 * pairs > ram:
+        logger.warning("[simmatrix] the condensed matrix takes %d bytes, more than %d of RAM", 4 * pairs, ram)
     taxonomy = load_taxonomy(synsets_path, edges_path, counts_path, ic_cap=ic_cap)
 
     def progress(done, total):
         logger.info("[simmatrix] %d/%d pairs", done, total)
 
-    matrix = build_similarity_matrix(
-        profiles,
-        taxonomy.word_similarity,
-        workers=workers,
-        progress=progress,
-        word_table=taxonomy.word_table,
-    )
+    matrix = build_similarity_matrix(profiles, taxonomy.word_table, workers=workers, progress=progress)
     artifacts.write_sims_tsv(out_path, matrix)
 
 

@@ -130,6 +130,19 @@ def table_word_sim(table: dict):
     return sim
 
 
+def pairwise_table(word_sim):
+    """A ``word_table`` builder for ``build_similarity_matrix`` that asks
+    ``word_sim`` about every pair of the words it is given, one row each.
+    The padding word ``""`` is never asked about: its cells are -1, which
+    the build overwrites with the same."""
+
+    def build(words, alone):
+        table = np.array([[word_sim(a, b) if a and b else -1.0 for b in words] for a in words], dtype=np.float64)
+        return np.arange(len(words)), table
+
+    return build
+
+
 def two_blob_matrix() -> SimilarityMatrix:
     """6 profiles in two tight blocks: intra-sim 0.9, inter-sim 0.1."""
     ids = [f"u{i}" for i in range(6)]

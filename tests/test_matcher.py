@@ -21,12 +21,16 @@ from tagrec.matcher import (
     build_similarity_matrix,
     profile_similarity,
 )
-from tagrec.profiles import Profile
+from tagrec.corpus import load_bigrams, load_lexicon
+from tagrec.profiles import Profile, build_profiles, ingest_profiles
 from tagrec.taxonomy import load_taxonomy
 
-from conftest import square, table_word_sim
+from conftest import WORKED_WORD_SIMS, pairwise_table, square, table_word_sim
+from test_acceptance import make_synthetic_users
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+# the worked example's similarities, and 0 for the pairs within one profile
+WORKED_TABLE = pairwise_table(table_word_sim(WORKED_WORD_SIMS))
 
 
 def greedy_oracle(rows, cols, word_sim, rounds=None):
@@ -205,30 +209,30 @@ class TestBuildMatrix:
             Profile(id="b", words=frozenset({"salary", "work", "company"})),
         ]
 
-    def test_worked_pair(self, worked_word_sim):
-        matrix = build_similarity_matrix(self.make_profiles(), worked_word_sim)
+    def test_worked_pair(self):
+        matrix = build_similarity_matrix(self.make_profiles(), WORKED_TABLE)
         assert matrix.sim(matrix.index("a"), matrix.index("b")) == pytest.approx(0.5845, abs=1e-6)
         assert matrix.sim(0, 0) == 1.0
 
-    def test_single_profile(self, worked_word_sim):
-        matrix = build_similarity_matrix(self.make_profiles()[:1], worked_word_sim)
+    def test_single_profile(self):
+        matrix = build_similarity_matrix(self.make_profiles()[:1], WORKED_TABLE)
         assert matrix.n == 1
         assert matrix.sim(0, 0) == 1.0
 
     def test_mutually_oov_profiles(self):
         sw = table_word_sim({})
         profiles = [Profile(id=f"p{i}", words=frozenset({f"w{i}"})) for i in range(3)]
-        matrix = build_similarity_matrix(profiles, sw)
+        matrix = build_similarity_matrix(profiles, pairwise_table(sw))
         for i in range(3):
             for j in range(3):
                 assert matrix.sim(i, j) == (1.0 if i == j else 0.0)
 
-    def test_duplicate_ids_rejected(self, worked_word_sim):
+    def test_duplicate_ids_rejected(self):
         profiles = self.make_profiles() + [Profile(id="a", words=frozenset({"work"}))]
         with pytest.raises(InputError):
-            build_similarity_matrix(profiles, worked_word_sim)
+            build_similarity_matrix(profiles, WORKED_TABLE)
 
-    def test_entries_equal_individual_calls(self):
+    def test_entries_equal_individual_calls(self, tmp_path):
         rng = random.Random(3)
         pool = [f"w{i}" for i in range(12)]
         profiles = [
@@ -237,11 +241,26 @@ class TestBuildMatrix:
         ]
         vocab = set().union(*(p.words for p in profiles)) or {"x"}
         sw = random_word_sim(rng, vocab)
-        matrix = build_similarity_matrix(profiles, sw)
+        matrix = build_similarity_matrix(profiles, pairwise_table(sw))
         for _ in range(20):
             i, j = rng.randrange(8), rng.randrange(8)
             expected = 1.0 if i == j else profile_similarity(profiles[i], profiles[j], sw)
-            assert matrix.sim(i, j) == pytest.approx(expected, abs=1e-7)
+            assert np.float32(expected) == matrix.sim(i, j)
+        # 2,000 of the 124,750 pairs of the acceptance generator's users, over
+        # the repository's taxonomy: the build's table against word_similarity
+        users = tmp_path / "users.tsv"
+        make_synthetic_users(users)
+        lexicon, bigrams = load_lexicon(DATA / "lexicon.txt"), load_bigrams(DATA / "bigrams.tsv")
+        profiles = build_profiles(ingest_profiles(users), lexicon, bigrams)
+        taxonomy = DATA / "taxonomy"
+        tax = load_taxonomy(taxonomy / "synsets.tsv", taxonomy / "edges.tsv", taxonomy / "counts.tsv")
+        matrix = build_similarity_matrix(profiles, tax.word_table)
+        positive = 0
+        for i, j in rng.sample(list(combinations(range(len(profiles)), 2)), 2000):
+            expected = profile_similarity(profiles[i], profiles[j], tax.word_similarity)
+            assert np.float32(expected) == matrix.sim(i, j), (i, j)
+            positive += expected > 0
+        assert positive > 200  # about a fifth of the pairs share some meaning
 
     @pytest.mark.parametrize("grid_bytes", [1, 2800, 8000], ids=["one-row", "three-rows", "eight-rows"])
     def test_gather_blocks_keep_the_matrix(self, monkeypatch, grid_bytes):
@@ -251,15 +270,15 @@ class TestBuildMatrix:
         pool = [f"w{i}" for i in range(10)]
         distinct = [frozenset(rng.sample(pool, rng.randint(0, 4))) for _ in range(5)] + [frozenset()]
         profiles = [Profile(id=f"p{i}", words=rng.choice(distinct)) for i in range(23)]
-        sw = random_word_sim(rng, set(pool))
-        whole = build_similarity_matrix(profiles, sw)
+        table = pairwise_table(random_word_sim(rng, set(pool)))
+        whole = build_similarity_matrix(profiles, table)
         monkeypatch.setattr(matcher, "GRID_BYTES", grid_bytes)
-        assert np.array_equal(build_similarity_matrix(profiles, sw).condensed, whole.condensed)
+        assert np.array_equal(build_similarity_matrix(profiles, table).condensed, whole.condensed)
 
-    def test_progress_hook_called(self, worked_word_sim):
+    def test_progress_hook_called(self):
         calls = []
         profiles = self.make_profiles()
-        build_similarity_matrix(profiles, worked_word_sim, progress=lambda d, t: calls.append((d, t)))
+        build_similarity_matrix(profiles, WORKED_TABLE, progress=lambda d, t: calls.append((d, t)))
         assert calls[-1] == (1, 1)
 
 
@@ -271,16 +290,16 @@ class TestParallelBuild:
             Profile(id=f"p{i}", words=frozenset(rng.sample(vocab, rng.randint(0, 4))))
             for i in range(12)
         ]
-        serial = build_similarity_matrix(profiles, toy_taxonomy_half.word_similarity, workers=1)
-        parallel = build_similarity_matrix(profiles, toy_taxonomy_half.word_similarity, workers=2)
+        serial = build_similarity_matrix(profiles, toy_taxonomy_half.word_table, workers=1)
+        parallel = build_similarity_matrix(profiles, toy_taxonomy_half.word_table, workers=2)
         assert serial.ids == parallel.ids
         assert np.array_equal(serial.condensed, parallel.condensed)
 
     @pytest.mark.parametrize("workers", [0, -1])
-    def test_workers_below_one_rejected(self, worked_word_sim, workers):
+    def test_workers_below_one_rejected(self, workers):
         profiles = [Profile(id="a", words=frozenset({"office"})), Profile(id="b", words=frozenset({"work"}))]
         with pytest.raises(InputError, match="workers must be at least 1"):
-            build_similarity_matrix(profiles, worked_word_sim, workers=workers)
+            build_similarity_matrix(profiles, WORKED_TABLE, workers=workers)
 
     @pytest.mark.parametrize("sets, workers, started", [(3, 8, 3), (40, 2, 2), (40, 8, 8)])
     def test_forks_no_idle_processes(self, monkeypatch, sets, workers, started):
@@ -295,18 +314,18 @@ class TestParallelBuild:
 
         monkeypatch.setattr(matcher, "ThreadPoolExecutor", Recorded)
         words = [f"w{k}" for k in range(5)]
-        sw = random_word_sim(random.Random(5), words)
+        table = pairwise_table(random_word_sim(random.Random(5), words))
         # profile i holds the words of the set bits of i + 1, so 40 profiles repeat sets
         held = [frozenset(w for k, w in enumerate(words) if (i + 1) >> k & 1) for i in range(sets)]
         profiles = [Profile(id=f"p{i}", words=w) for i, w in enumerate(held)]
         chunks = matcher._row_chunks(len(set(held) - {frozenset()}), 4 * max(workers, 4))
         assert len(chunks) >= 2
-        serial = build_similarity_matrix(profiles, sw)
+        serial = build_similarity_matrix(profiles, table)
         threads = threading.active_count()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # threads switch often, so scoring ranges interleave
         try:
-            pooled = build_similarity_matrix(profiles, sw, workers=workers)
+            pooled = build_similarity_matrix(profiles, table, workers=workers)
         finally:
             sys.setswitchinterval(interval)
         assert threading.active_count() == threads
@@ -331,12 +350,6 @@ class TestBatchedMatrix:
         def quantised(a, b):
             return round(base(a, b), 1)  # ties throughout the grids
 
-        asked = []
-
-        def recorded(a, b):
-            asked.append(frozenset((a, b)))
-            return quantised(a, b)
-
         # sizes 0..8 pad the grids; drawing 60 profiles from 27 sets repeats
         # sets, so shared sets are scored against themselves
         distinct = [frozenset(rng.sample(pool, size)) for size in range(9) for _ in range(3)]
@@ -344,20 +357,15 @@ class TestBatchedMatrix:
         # a shared set whose words meet only each other
         words += [frozenset({"x1", "x2"})] * 2
         profiles = [Profile(id=f"p{i}", words=w) for i, w in enumerate(words)]
-        matrix = build_similarity_matrix(profiles, recorded, workers=workers)
+        matrix = build_similarity_matrix(profiles, pairwise_table(quantised), workers=workers)
 
         k = 0
-        grid_pairs = set()
         for i in range(len(words)):
             for j in range(i + 1, len(words)):
                 rows, cols = sorted((tuple(sorted(words[i])), tuple(sorted(words[j]))))
                 expected, _ = greedy_oracle(rows, cols, quantised)
                 assert matrix.condensed[k] == np.float32(expected), (i, j)
-                grid_pairs |= {frozenset((u, v)) for u in rows for v in cols}
                 k += 1
-        # word_sim is asked once per word pair some grid holds, and no other
-        assert len(asked) == len(set(asked))
-        assert set(asked) == grid_pairs
 
     @pytest.mark.parametrize(
         "workers, grid_bytes",
@@ -373,9 +381,6 @@ class TestBatchedMatrix:
         def quantised(a, b):
             return round(base(a, b), 1)
 
-        def never(a, b):
-            raise AssertionError("word_sim is not asked when a table builder is given")
-
         built = []
 
         def table(words):
@@ -385,30 +390,29 @@ class TestBatchedMatrix:
 
         distinct = [frozenset(rng.sample(pool, size)) for size in range(9) for _ in range(3)]
         profiles = [Profile(id=f"p{i}", words=rng.choice(distinct)) for i in range(60)]
-        expected = build_similarity_matrix(profiles, quantised)
         matrix = build_similarity_matrix(
-            profiles, never, workers=workers, word_table=lambda words, alone: (np.arange(len(words)), table(words))
+            profiles, lambda words, alone: (np.arange(len(words)), table(words)), workers=workers
         )
         assert len(built) == 1
-        assert np.array_equal(matrix.condensed, expected.condensed)
+        for (i, p), (j, q) in combinations(enumerate(profiles), 2):
+            rows, cols = sorted((tuple(sorted(p.words)), tuple(sorted(q.words))))
+            oracle = greedy_oracle(rows, cols, quantised)[0] if rows else 0.0
+            assert matrix.sim(i, j) == np.float32(oracle), (rows, cols)
 
     def test_empty_grids_score_zero(self):
-        def never(a, b):
-            raise AssertionError("no grid holds a word pair")
-
         profiles = [
             Profile(id="e1", words=frozenset()),
             Profile(id="e2", words=frozenset()),
             Profile(id="a", words=frozenset({"alpha"})),
         ]
-        matrix = build_similarity_matrix(profiles, never)
+        matrix = build_similarity_matrix(profiles, pairwise_table(table_word_sim({})))
         assert matrix.condensed.tolist() == [0.0, 0.0, 0.0]
 
 
 class TestCompactWordTable:
     """The build over ``Taxonomy.word_table``, whose out-of-taxonomy words
-    that never meet themselves share one zero row, against a build that
-    asks ``word_similarity`` pair by pair."""
+    that never meet themselves share one zero row, against the oracle over
+    ``word_similarity``, pair by pair."""
 
     CASES = [
         {"solo", "odd", "dog"},  # solo and odd: out of the taxonomy, in one set only
@@ -440,13 +444,7 @@ class TestCompactWordTable:
         monkeypatch.setattr(matcher, "GRID_BYTES", grid_bytes)
         tax = toy_taxonomy_half
         profiles = self.profiles()
-
-        def never(a, b):
-            raise AssertionError("word_sim is not asked when a table builder is given")
-
-        expected = build_similarity_matrix(profiles, tax.word_similarity)
-        matrix = build_similarity_matrix(profiles, never, workers=workers, word_table=tax.word_table)
-        assert np.array_equal(matrix.condensed, expected.condensed)
+        matrix = build_similarity_matrix(profiles, tax.word_table, workers=workers)
         for (i, p), (j, q) in combinations(enumerate(profiles), 2):
             rows, cols = sorted((tuple(sorted(p.words)), tuple(sorted(q.words))))
             oracle = greedy_oracle(rows, cols, tax.word_similarity)[0] if rows else 0.0
@@ -457,7 +455,7 @@ class TestCompactWordTable:
 
     def test_words_that_cannot_score_share_the_zero_row(self, toy_taxonomy_half):
         sets = sorted({tuple(sorted(s)) for s in self.CASES if s})
-        scorer = matcher._SetScorer(sets, [s == ("cat", "shared") for s in sets], None, toy_taxonomy_half.word_table)
+        scorer = matcher._SetScorer(sets, [s == ("cat", "shared") for s in sets], toy_taxonomy_half.word_table)
         row = {w: int(scorer.padded[a, k]) for a, s in enumerate(sets) for k, w in enumerate(s)}
         # solo and odd share the last row, of zeros; every other word has its own
         assert row["solo"] == row["odd"] == len(scorer.table) - 1
@@ -483,7 +481,7 @@ class TestCompactWordTable:
         gc.collect()
         tracemalloc.start()
         try:
-            matrix = build_similarity_matrix(profiles, None, word_table=tax.word_table)
+            matrix = build_similarity_matrix(profiles, tax.word_table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -604,7 +602,7 @@ class TestZeroPairFilter:
             return match_batch(grids, rounds)
 
         monkeypatch.setattr(matcher, "_match_batch", counted)
-        matrix = build_similarity_matrix(profiles, sw, workers=workers)
+        matrix = build_similarity_matrix(profiles, pairwise_table(sw), workers=workers)
 
         k = 0
         for i in range(len(profiles)):
@@ -628,7 +626,7 @@ class TestZeroPairFilter:
         counts = []
         for workers in (1, 2):
             caplog.clear()
-            build_similarity_matrix(profiles, sw, workers=workers)
+            build_similarity_matrix(profiles, pairwise_table(sw), workers=workers)
             counts.append(self.logged_counts(caplog))
         assert counts[0] == counts[1]
         assert counts[0][2] > 0  # some grids left their batch early
@@ -663,16 +661,13 @@ class TestCrossRowBatches:
             at = [pool.index(w) if w in pool else 0 for w in words]
             return levels[np.ix_(at, at)].copy()
 
-        def never(a, b):
-            raise AssertionError("word_sim is not asked when a table builder is given")
-
         default = matcher.GRID_BYTES
         blocks = self.recorded_blocks(monkeypatch)
         scored, batches = {}, {}
         for limit in (default, grid_bytes):
             monkeypatch.setattr(matcher, "GRID_BYTES", limit)
             blocks.clear()
-            scorer = matcher._SetScorer(sets, shared, never, lambda words, alone: (np.arange(len(words)), table(words)))
+            scorer = matcher._SetScorer(sets, shared, lambda words, alone: (np.arange(len(words)), table(words)))
             a, b, scores, stats = scorer.rows((0, len(sets)))
             assert stats["batches"] == len(blocks)
             assert all(nbytes <= limit or grids == 1 for grids, nbytes in blocks)
@@ -692,7 +687,7 @@ class TestCrossRowBatches:
         sw = table_word_sim({frozenset(p): rng.choice([0.0, 0.5, 0.5, 1.0]) for p in combinations(pool, 2)})
         sets = sorted({tuple(sorted(rng.sample(pool, rng.randint(1, 5)))) for _ in range(40)})
         blocks = self.recorded_blocks(monkeypatch)
-        scorer = matcher._SetScorer(sets, [True] * len(sets), sw)
+        scorer = matcher._SetScorer(sets, [True] * len(sets), pairwise_table(sw))
         a, b, scores, _ = scorer.rows((0, len(sets)))
         ((grids, _),) = blocks
         shapes = {(len(sets[i]), len(sets[j])) for i, j in zip(a.tolist(), b.tolist())}

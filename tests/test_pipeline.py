@@ -2,19 +2,24 @@
 
 import io
 import json
+import logging
 import os
 import re
+import shutil
 import sys
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from tagrec import artifacts, segmenter
+from tagrec import artifacts, pipeline, segmenter
 from tagrec.cli import main
 from tagrec.corpus import DEFAULT_FLOOR_PROB, load_bigrams, load_lexicon
-from tagrec.errors import InputError
-from tagrec.matcher import build_similarity_matrix
+from tagrec.errors import InputError, TagrecError
+from tagrec.matcher import SimilarityMatrix, profile_similarity
 from tagrec.pipeline import (
     PipelineConfig,
     compute_profiles,
@@ -604,11 +609,70 @@ class TestSimmatrixTable:
         compute_simmatrix(profiles_tsv, *tax_files, DEFAULT_IC_CAP, workers, sims)
         assert asked == []
 
+        # the same file from a matrix of one profile_similarity call per pair
         pairwise = tmp_path / "pairwise.tsv"
         profiles = artifacts.read_profiles_tsv(profiles_tsv)
-        artifacts.write_sims_tsv(pairwise, build_similarity_matrix(profiles, load_taxonomy(*tax_files).word_similarity))
-        assert asked  # the pairwise adapter did ask word_similarity
+        tax = load_taxonomy(*tax_files)
+        cells = [profile_similarity(p, q, tax.word_similarity) for p, q in combinations(profiles, 2)]
+        matrix = SimilarityMatrix([p.id for p in profiles], np.array(cells, dtype=np.float32))
+        artifacts.write_sims_tsv(pairwise, matrix)
+        assert asked  # profile_similarity did ask word_similarity
         assert sims.read_bytes() == pairwise.read_bytes()
+
+
+class TestSimmatrixCost:
+    """The simmatrix stage states its cost before it loads the taxonomy."""
+
+    TAX = tuple(DATA / "taxonomy" / f"{name}.tsv" for name in ("synsets", "edges", "counts"))
+
+    @staticmethod
+    def demo_profiles(tmp_path, prefix: str = ""):
+        users = tmp_path / "users.tsv"
+        lines = (DATA / "users_demo.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+        users.write_text("".join(prefix + line for line in lines), encoding="utf-8")
+        profiles_tsv = tmp_path / "profiles.tsv"
+        compute_profiles(users, DATA / "lexicon.txt", DATA / "bigrams.tsv", DEFAULT_FLOOR_PROB, profiles_tsv)
+        return profiles_tsv
+
+    @pytest.mark.parametrize("prefix", ["", "é用"], ids=["demo", "non-ascii-ids"])
+    def test_logged_bytes_equal_the_file(self, tmp_path, caplog, prefix):
+        profiles_tsv = self.demo_profiles(tmp_path, prefix)
+        sims = tmp_path / "new" / "sims.tsv"  # free space is asked of a directory not yet made
+        caplog.set_level(logging.INFO, logger="tagrec.pipeline")
+        compute_simmatrix(profiles_tsv, *self.TAX, DEFAULT_IC_CAP, 1, sims)
+        (record,) = [r for r in caplog.records if "bytes condensed" in r.msg]
+        pairs, condensed, size, path = record.args
+        n = len(artifacts.read_profiles_tsv(profiles_tsv))
+        assert (pairs, condensed, path) == (n * (n - 1) // 2, 4 * pairs, sims)
+        assert size == sims.stat().st_size
+
+    def test_full_disk_stops_before_the_taxonomy(self, tmp_path, monkeypatch):
+        profiles_tsv = self.demo_profiles(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "sims.tsv").write_bytes(b"old")  # a file of an earlier run is kept
+        monkeypatch.setattr(shutil, "disk_usage", lambda path: SimpleNamespace(total=10**6, used=10**6 - 999, free=999))
+
+        def load_taxonomy(*args, **kwargs):
+            raise AssertionError("the taxonomy was loaded")
+
+        monkeypatch.setattr(pipeline, "load_taxonomy", load_taxonomy)
+        ids = [p.id for p in artifacts.read_profiles_tsv(profiles_tsv)]
+        size = (len(ids) - 1) * len("".join(ids)) + 11 * len(ids) * (len(ids) - 1) // 2  # ASCII ids
+        message = f"{out / 'sims.tsv'} needs {size} bytes, but its disk has 999 bytes free"
+        with pytest.raises(TagrecError, match="^" + re.escape(message) + "$"):
+            compute_simmatrix(profiles_tsv, *self.TAX, DEFAULT_IC_CAP, 1, out / "sims.tsv")
+        assert [p.name for p in out.iterdir()] == ["sims.tsv"]
+        assert (out / "sims.tsv").read_bytes() == b"old"
+
+    def test_matrix_above_physical_ram_warns(self, tmp_path, monkeypatch, caplog):
+        profiles_tsv = self.demo_profiles(tmp_path)
+        monkeypatch.setattr(pipeline, "_physical_ram", lambda: 100)
+        caplog.set_level(logging.WARNING, logger="tagrec.pipeline")
+        compute_simmatrix(profiles_tsv, *self.TAX, DEFAULT_IC_CAP, 1, tmp_path / "sims.tsv")
+        (record,) = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert record.getMessage().endswith("more than 100 of RAM")
+        assert (tmp_path / "sims.tsv").is_file()
 
 
 class TestRankingInputs:
